@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dumps", "dump_to_path"]
+__all__ = ["dumps"]
 
 
 def _format_float(x: float) -> str:
@@ -72,8 +72,3 @@ def dumps(obj, indent: int | None = None) -> str:
     _emit(obj, lines, indent, 0)
     return "".join(lines)
 
-
-def dump_to_path(obj, path, indent: int | None = 2) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(obj, indent=indent))
-        fh.write("\n")

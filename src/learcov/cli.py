@@ -9,14 +9,14 @@ and the process exits with the error's dedicated code.
 Values come from, in decreasing precedence: command-line flags, the
 --config key=value file, built-in defaults. Config keys mirror flag names
 ("grid-points" or "grid_points" both work); keys the invoked subcommand
-does not use are ignored so one file can serve several subcommands. The
-LEARCOV_THREADS environment variable sets the simulation thread count.
+does not use are ignored so one file can serve several subcommands.
 """
 from __future__ import annotations
 
 import functools
 import sys
 import warnings
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -34,11 +34,13 @@ from .dataio import load_sim_spec, read_long_csv, write_long_csv
 from .errors import InvalidParams, LearcovError, ParseError
 from .estimation import FitOptions, compare_parameterizations, fit
 from .reparam import (
+    _canonical_range,
     check_special_case,
     map_arma11_to_lear,
     map_lear_to_arma11,
     normalize_grid,
 )
+from .sim import DESIGN_RULES
 from .sim import simulate as run_simulation
 
 SCHEMA_VERSION = 1
@@ -128,7 +130,7 @@ def _parse_times(text: str) -> np.ndarray:
 
 
 def _design_from_flag(text: str):
-    if text in ("intercept", "intercept-time"):
+    if text in DESIGN_RULES:
         return text
     return [c.strip() for c in text.split(",")]
 
@@ -217,15 +219,12 @@ def build_matrix(ctx, sigma2, rho_l, delta, times, fmt, config) -> None:
     p = ctx.params
     t = _parse_times(_require_flag(p, "times", "--times"))
     grid = build_grid([t])
-    cov = lear_covariance(
-        LearParams(
-            p["sigma2"],
-            _require_flag(p, "rho_l", "--rho-l"),
-            _require_flag(p, "delta", "--delta"),
-        ),
-        grid,
-        0,
+    params = LearParams(
+        p["sigma2"],
+        _require_flag(p, "rho_l", "--rho-l"),
+        _require_flag(p, "delta", "--delta"),
     )
+    cov = lear_covariance(params, grid, 0)
     if p["fmt"] == "text":
         for row in cov:
             click.echo(" ".join(format(v, ".17g") for v in row))
@@ -234,9 +233,7 @@ def build_matrix(ctx, sigma2, rho_l, delta, times, fmt, config) -> None:
         "schema_version": SCHEMA_VERSION,
         "command": "build-matrix",
         "times": [float(v) for v in t],
-        "sigma2": p["sigma2"],
-        "rho_l": p["rho_l"],
-        "delta": p["delta"],
+        **asdict(params),
         "covariance": cov.tolist(),
     })
 
@@ -272,7 +269,7 @@ def reparam_cmd(ctx, direction, sigma2, rho_l, delta, tau, rho_a, d_range,
     grid = None
     if p["times"] is not None:
         grid = build_grid([_parse_times(p["times"])])
-        rng = normalize_grid(grid).d_max - 1.0
+        rng = _canonical_range(grid)
     else:
         rng = p["d_range"]
 
@@ -284,9 +281,6 @@ def reparam_cmd(ctx, direction, sigma2, rho_l, delta, tau, rho_a, d_range,
             warnings.simplefilter("always")
             tau_out, rho_a_out = map_lear_to_arma11(source.rho_l, source.delta, rng)
         target = Arma11Params(source.sigma2, tau_out, rho_a_out)
-        mapped = {"sigma2": target.sigma2, "tau": target.tau, "rho_a": target.rho_a}
-        given = {"sigma2": source.sigma2, "rho_l": source.rho_l,
-                 "delta": source.delta}
     else:
         if p["tau"] is None or p["rho_a"] is None:
             raise InvalidParams("arma2lear needs --tau and --rho-a")
@@ -295,9 +289,6 @@ def reparam_cmd(ctx, direction, sigma2, rho_l, delta, tau, rho_a, d_range,
             warnings.simplefilter("always")
             rho_l_out, delta_out = map_arma11_to_lear(source.tau, source.rho_a, rng)
         target = LearParams(source.sigma2, rho_l_out, delta_out)
-        mapped = {"sigma2": target.sigma2, "rho_l": target.rho_l,
-                  "delta": target.delta}
-        given = {"sigma2": source.sigma2, "tau": source.tau, "rho_a": source.rho_a}
 
     notes = [str(w.message) for w in caught]
     payload = {
@@ -305,8 +296,8 @@ def reparam_cmd(ctx, direction, sigma2, rho_l, delta, tau, rho_a, d_range,
         "command": "reparam",
         "direction": direction,
         "range": rng,
-        "input": given,
-        "output": mapped,
+        "input": asdict(source),
+        "output": asdict(target),
         "warnings": notes,
     }
 

@@ -42,6 +42,7 @@ __all__ = [
     "LearParams",
     "Arma11Params",
     "build_grid",
+    "validated_times",
     "lear_correlation",
     "lear_covariance",
     "arma11_covariance",
@@ -82,6 +83,30 @@ class MeasurementGrid:
         return len(self.subject_times[subject_index])
 
 
+def validated_times(seq, label: str = "times") -> np.ndarray:
+    """Read-only float copy of one measurement-time vector.
+
+    The copy leaves the caller's array writable. ``label`` names the vector
+    in the error message.
+
+    Raises:
+        InvalidGrid: the times are not a nonempty, finite, strictly
+            increasing 1-d sequence of numbers.
+    """
+    try:
+        t = np.array(seq, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidGrid(f"{label} must be numbers") from None
+    if t.ndim != 1 or t.size == 0:
+        raise InvalidGrid(f"{label} must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(t)):
+        raise InvalidGrid(f"{label} must be finite")
+    if t.size > 1 and not np.all(np.diff(t) > 0):
+        raise InvalidGrid(f"{label} must be strictly increasing")
+    t.setflags(write=False)
+    return t
+
+
 def build_grid(
     times_per_subject,
     d_min: float | None = None,
@@ -103,16 +128,10 @@ def build_grid(
         DegenerateGrid: no subject has two or more measurements, so no
             distance exists.
     """
-    vectors = []
-    for i, seq in enumerate(times_per_subject):
-        t = np.asarray(seq, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise InvalidGrid(f"subject {i}: times must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(t)):
-            raise InvalidGrid(f"subject {i}: times must be finite")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise InvalidGrid(f"subject {i}: times must be strictly increasing")
-        vectors.append(t.copy())
+    vectors = [
+        validated_times(seq, f"subject {i}: times")
+        for i, seq in enumerate(times_per_subject)
+    ]
     if not vectors:
         raise InvalidGrid("grid needs at least one subject")
 

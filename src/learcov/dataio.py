@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     ParseError,
 )
 from .estimation import RepeatedMeasuresData, SubjectData
-from .sim import DESIGN_RULES, SimSpec
+from .sim import DESIGN_RULES, SimSpec, rule_design
 
 __all__ = [
     "read_long_csv",
@@ -47,7 +48,7 @@ def _parse_number(text: str, row: int, column: str) -> float:
     return value
 
 
-def _design_columns(design) -> tuple[str, list[str]]:
+def _design_columns(design) -> tuple[str | None, list[str]]:
     if isinstance(design, str):
         if design not in DESIGN_RULES:
             raise InvalidParams(
@@ -58,7 +59,7 @@ def _design_columns(design) -> tuple[str, list[str]]:
     names = [str(c) for c in design]
     if not names:
         raise InvalidParams("covariate design needs at least one column name")
-    return "covariates", names
+    return None, names
 
 
 def read_long_csv(
@@ -138,12 +139,10 @@ def read_long_csv(
         rows = sorted(rows_by_subject[sid], key=lambda r: r[0])
         t = np.array([r[0] for r in rows])
         y = np.array([r[1] for r in rows])
-        if rule == "intercept":
-            X = np.ones((t.size, 1))
-        elif rule == "intercept-time":
-            X = np.column_stack([np.ones(t.size), t])
-        else:
+        if covariate_cols:
             X = np.array([r[2] for r in rows])
+        else:
+            X = rule_design(rule, t)
         subjects.append(SubjectData(t, y, X))
     return RepeatedMeasuresData(tuple(subjects))
 
@@ -174,6 +173,32 @@ def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ParseError(f"{context}: missing required field {key!r}")
     return mapping[key]
+
+
+_COVARIANCE_CLASSES = {"lear": LearParams, "arma11": Arma11Params}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numeric_array(value, field: str) -> np.ndarray:
+    """Float array of a JSON number or (nested) array of numbers.
+
+    Shapes are left to SimSpec to judge; anything non-numeric, or nested
+    unevenly, raises ParseError naming ``field``.
+    """
+    def numeric(v) -> bool:
+        return all(map(numeric, v)) if isinstance(v, list) else _is_number(v)
+
+    if numeric(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):
+            pass
+    raise ParseError(
+        f"field {field!r} must be numeric: a number or a regular array of numbers"
+    )
 
 
 def load_sim_spec(path) -> SimSpec:
@@ -215,33 +240,35 @@ def load_sim_spec(path) -> SimSpec:
     if not isinstance(cov_raw, dict):
         raise ParseError("covariance must be a JSON object")
     kind = _require(cov_raw, "parameterization", "covariance")
-    cov_fields = {
-        "lear": ("sigma2", "rho_l", "delta"),
-        "arma11": ("sigma2", "tau", "rho_a"),
-    }
-    if kind not in cov_fields:
+    if kind not in _COVARIANCE_CLASSES:
         raise ParseError(
             f"covariance parameterization must be 'lear' or 'arma11' (got {kind!r})"
         )
-    extra = sorted(set(cov_raw) - {"parameterization", *cov_fields[kind]})
+    cls = _COVARIANCE_CLASSES[kind]
+    names = [f.name for f in fields(cls)]
+    extra = sorted(set(cov_raw) - {"parameterization", *names})
     if extra:
         raise ParseError(f"unknown covariance fields: {', '.join(extra)}")
-    values = [_require(cov_raw, f, "covariance") for f in cov_fields[kind]]
-    for name, v in zip(cov_fields[kind], values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+    values = [_require(cov_raw, f, "covariance") for f in names]
+    for name, v in zip(names, values):
+        if not _is_number(v):
             raise ParseError(f"covariance field {name!r} must be a number")
-    cov = (LearParams if kind == "lear" else Arma11Params)(*map(float, values))
+    cov = cls(*map(float, values))
 
     times = _require(raw, "times", "simulation spec")
-    if isinstance(times, list) and times and not isinstance(times[0], list):
+    if not isinstance(times, list):
+        raise ParseError(
+            "field 'times' must be an array of times or of time templates"
+        )
+    if times and not isinstance(times[0], list):
         times = [times]
     design = raw.get("design", "intercept")
     if not isinstance(design, str):
         raise ParseError("design must be a string rule in simulation specs")
     return SimSpec(
         n_subjects=_require(raw, "n_subjects", "simulation spec"),
-        times=tuple(np.asarray(t, dtype=float) for t in times),
-        beta=np.asarray(_require(raw, "beta", "simulation spec"), dtype=float),
+        times=tuple(_numeric_array(t, "times") for t in times),
+        beta=_numeric_array(_require(raw, "beta", "simulation spec"), "beta"),
         covariance=cov,
         seed=_require(raw, "seed", "simulation spec"),
         design=design,
@@ -250,17 +277,7 @@ def load_sim_spec(path) -> SimSpec:
 
 def sim_spec_to_dict(spec: SimSpec) -> dict:
     """Inverse of load_sim_spec for round-tripping specs to JSON."""
-    cov = spec.covariance
-    if isinstance(cov, LearParams):
-        cov_d = {
-            "parameterization": "lear",
-            "sigma2": cov.sigma2, "rho_l": cov.rho_l, "delta": cov.delta,
-        }
-    else:
-        cov_d = {
-            "parameterization": "arma11",
-            "sigma2": cov.sigma2, "tau": cov.tau, "rho_a": cov.rho_a,
-        }
+    kind = "lear" if isinstance(spec.covariance, LearParams) else "arma11"
     if not isinstance(spec.design, str):
         raise InvalidParams("explicit design matrices do not round-trip to JSON")
     return {
@@ -270,5 +287,5 @@ def sim_spec_to_dict(spec: SimSpec) -> dict:
         "beta": [float(b) for b in spec.beta],
         "design": spec.design,
         "seed": spec.seed,
-        "covariance": cov_d,
+        "covariance": {"parameterization": kind, **asdict(spec.covariance)},
     }

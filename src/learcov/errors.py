@@ -115,20 +115,3 @@ class FitFailed(LearcovError):
 class UnidentifiableWarning(UserWarning):
     """Emitted when a returned parameter value is a convention, not an estimate."""
 
-
-ERROR_CLASSES = (
-    InvalidGrid,
-    DegenerateGrid,
-    InvalidParams,
-    InvalidSize,
-    NotPositiveDefinite,
-    NotSpecialCase,
-    DegenerateRange,
-    OutsideLearImage,
-    Unidentifiable,
-    DuplicateMeasurement,
-    ParseError,
-    RankDeficient,
-    SingularFit,
-    FitFailed,
-)

@@ -28,7 +28,7 @@ does not fall below the best grid point, so the scan provides a floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -46,12 +46,12 @@ from .core import (
     lear_covariance,
     validate_arma11_values,
     validate_lear_values,
+    validated_times,
 )
 from .errors import (
     DegenerateGrid,
     DegenerateRange,
     FitFailed,
-    InvalidGrid,
     InvalidParams,
     InvalidSize,
     NotPositiveDefinite,
@@ -89,15 +89,10 @@ class SubjectData:
     X: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        X = np.asarray(self.X, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise InvalidGrid("times must be a nonempty 1-d array")
-        if not np.all(np.isfinite(t)):
-            raise InvalidGrid("times must be finite")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise InvalidGrid("times must be strictly increasing")
+        t = validated_times(self.times)
+        # Private copies, so freezing them leaves the caller's arrays alone.
+        y = np.array(self.y, dtype=float)
+        X = np.array(self.X, dtype=float)
         if y.shape != t.shape:
             raise InvalidSize(f"y has shape {y.shape}, expected {t.shape}")
         if X.ndim != 2 or X.shape[0] != t.size:
@@ -216,9 +211,8 @@ class _Prepared:
             self.patterns.append(
                 (data.subjects[idxs[0]].times, np.asarray(idxs), block, p, len(idxs))
             )
-        if any(s.p > 1 for s in data.subjects):
-            g = data.grid
-            self.d_min, self.d_max = g.d_min, g.d_max
+        if data._grid is not None:
+            self.d_min, self.d_max = data._grid.d_min, data._grid.d_max
         else:
             # Never consulted: every pattern is a single measurement.
             self.d_min = self.d_max = 1.0
@@ -305,6 +299,16 @@ def _corr_builder(parameterization: str, a: float, b: float, prep: _Prepared):
     return lambda times, p: _arma11_corr(a, b, p)
 
 
+def _check_choices(criterion: str, parameterization: str) -> None:
+    if criterion not in CRITERIA:
+        raise InvalidParams(f"criterion must be one of {CRITERIA} (got {criterion!r})")
+    if parameterization not in PARAMETERIZATIONS:
+        raise InvalidParams(
+            f"parameterization must be one of {PARAMETERIZATIONS} "
+            f"(got {parameterization!r})"
+        )
+
+
 @dataclass(frozen=True)
 class ProfileEstimates:
     """Log-likelihood and the profiled-out nuisance optima at fixed theta."""
@@ -333,13 +337,7 @@ def profile_estimates(
     beta and sigma2 are profiled out at their closed-form optima, so the
     log-likelihood is a function of the correlation parameters alone.
     """
-    if criterion not in CRITERIA:
-        raise InvalidParams(f"criterion must be one of {CRITERIA} (got {criterion!r})")
-    if parameterization not in PARAMETERIZATIONS:
-        raise InvalidParams(
-            f"parameterization must be one of {PARAMETERIZATIONS} "
-            f"(got {parameterization!r})"
-        )
+    _check_choices(criterion, parameterization)
     a, b = (float(v) for v in corr_params)
     if parameterization == "lear":
         violations = validate_lear_values(1.0, a, b)
@@ -431,15 +429,10 @@ class FitResult:
     n_scan_failures: int
 
     def to_dict(self) -> dict:
-        est = self.estimates
-        if isinstance(est, LearParams):
-            est_d = {"sigma2": est.sigma2, "rho_l": est.rho_l, "delta": est.delta}
-        else:
-            est_d = {"sigma2": est.sigma2, "tau": est.tau, "rho_a": est.rho_a}
         return {
             "parameterization": self.parameterization,
             "criterion": self.criterion,
-            "estimates": est_d,
+            "estimates": asdict(self.estimates),
             "beta_hat": [float(v) for v in self.beta_hat],
             "max_loglik": self.max_loglik,
             "converged": self.converged,
@@ -486,13 +479,7 @@ def fit(
         NotSpecialCase: ARMA(1,1) requested on an ineligible grid.
         FitFailed: every grid point failed to evaluate.
     """
-    if criterion not in CRITERIA:
-        raise InvalidParams(f"criterion must be one of {CRITERIA} (got {criterion!r})")
-    if parameterization not in PARAMETERIZATIONS:
-        raise InvalidParams(
-            f"parameterization must be one of {PARAMETERIZATIONS} "
-            f"(got {parameterization!r})"
-        )
+    _check_choices(criterion, parameterization)
     opts = options or FitOptions()
     grid = data.grid
     d_range = grid.d_max - grid.d_min
@@ -658,10 +645,7 @@ class ComparisonReport:
     mapping_note: str | None
 
     def to_dict(self) -> dict:
-        mapped = None
-        if self.arma_mapped_to_lear is not None:
-            m = self.arma_mapped_to_lear
-            mapped = {"sigma2": m.sigma2, "rho_l": m.rho_l, "delta": m.delta}
+        mapped = self.arma_mapped_to_lear
         return {
             "criterion": self.criterion,
             "spacing": self.spacing,
@@ -672,7 +656,7 @@ class ComparisonReport:
             "lear_covariance": self.lear_covariance.tolist(),
             "arma11_covariance": self.arma11_covariance.tolist(),
             "max_covariance_difference": self.max_covariance_difference,
-            "arma_mapped_to_lear": mapped,
+            "arma_mapped_to_lear": None if mapped is None else asdict(mapped),
             "mapping_note": self.mapping_note,
         }
 

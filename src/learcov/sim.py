@@ -10,15 +10,10 @@ word w becomes the uniform ((w >> 11) + 0.5) * 2**-53, strictly inside
 (0, 1), which is then mapped through the standard normal inverse CDF. The
 stream therefore depends only on (seed, subject index), never on how many
 subjects exist or in what order they are generated, so identical specs give
-bit-identical datasets on any platform and at any thread count.
-
-Set LEARCOV_THREADS to simulate subjects in parallel; the default is
-sequential.
+bit-identical datasets on any platform.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +26,7 @@ from .core import (
     build_grid,
     cholesky_lower,
     lear_covariance,
+    validated_times,
 )
 from .errors import InvalidGrid, InvalidParams, InvalidSize
 from .estimation import RepeatedMeasuresData, SubjectData
@@ -38,7 +34,18 @@ from .estimation import RepeatedMeasuresData, SubjectData
 __all__ = ["SimSpec", "simulate", "standard_normals"]
 
 DESIGN_RULES = ("intercept", "intercept-time")
-THREADS_ENV_VAR = "LEARCOV_THREADS"
+
+
+def rule_design(rule: str, times: np.ndarray) -> np.ndarray:
+    """Design matrix that the named rule in DESIGN_RULES gives at ``times``.
+
+    "intercept" is one constant column; "intercept-time" adds the times.
+    """
+    if rule == "intercept":
+        return np.ones((times.size, 1))
+    if rule == "intercept-time":
+        return np.column_stack([np.ones(times.size), times])
+    raise InvalidParams(f"design must be one of {DESIGN_RULES} (got {rule!r})")
 
 
 def standard_normals(seed: int, subject_index: int, n: int) -> np.ndarray:
@@ -47,18 +54,6 @@ def standard_normals(seed: int, subject_index: int, n: int) -> np.ndarray:
     raw = np.random.Philox(key=key).random_raw(n)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
     return ndtri(u)
-
-
-def _validate_template(t, index: int) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidGrid(f"time template {index} must be a nonempty 1-d array")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidGrid(f"time template {index} contains non-finite values")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0):
-        raise InvalidGrid(f"time template {index} must be strictly increasing")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -93,14 +88,15 @@ class SimSpec:
             raw_times = (raw_times,)
         try:
             templates = tuple(
-                _validate_template(t, i) for i, t in enumerate(raw_times)
+                validated_times(t, f"time template {i}")
+                for i, t in enumerate(raw_times)
             )
         except TypeError as exc:
             raise InvalidGrid("times must be a sequence of time templates") from exc
         if not templates:
             raise InvalidGrid("need at least one time template")
         object.__setattr__(self, "times", templates)
-        beta = np.asarray(self.beta, dtype=float)
+        beta = np.array(self.beta, dtype=float)
         if beta.ndim != 1 or beta.size == 0 or not np.all(np.isfinite(beta)):
             raise InvalidSize("beta must be a nonempty finite 1-d array")
         beta.setflags(write=False)
@@ -116,14 +112,9 @@ class SimSpec:
         object.__setattr__(self, "seed", int(self.seed))
         design = self.design
         if isinstance(design, str):
-            if design not in DESIGN_RULES:
-                raise InvalidParams(
-                    f"design must be one of {DESIGN_RULES} or explicit matrices "
-                    f"(got {design!r})"
-                )
-            q = 1 if design == "intercept" else 2
+            q = rule_design(design, templates[0]).shape[1]
         else:
-            mats = tuple(np.asarray(m, dtype=float) for m in design)
+            mats = tuple(np.array(m, dtype=float) for m in design)
             if len(mats) != len(templates):
                 raise InvalidSize(
                     f"got {len(mats)} design matrices for {len(templates)} "
@@ -152,36 +143,15 @@ class SimSpec:
             )
 
     def design_matrix(self, template_index: int) -> np.ndarray:
-        t = self.times[template_index]
-        if self.design == "intercept":
-            return np.ones((t.size, 1))
-        if self.design == "intercept-time":
-            return np.column_stack([np.ones(t.size), t])
+        if isinstance(self.design, str):
+            return rule_design(self.design, self.times[template_index])
         return self.design[template_index]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise InvalidParams(
-            f"{THREADS_ENV_VAR} must be a positive integer (got {raw!r})"
-        ) from None
-    if count < 1:
-        raise InvalidParams(
-            f"{THREADS_ENV_VAR} must be a positive integer (got {raw!r})"
-        )
-    return count
 
 
 def simulate(spec: SimSpec) -> RepeatedMeasuresData:
     """Draw a dataset from ``spec``; same spec, same bytes, every time."""
     n_templates = len(spec.times)
     subject_template = [i % n_templates for i in range(spec.n_subjects)]
-    subject_times = [spec.times[k] for k in subject_template]
 
     used = sorted(set(subject_template))
     factors: dict[int, np.ndarray] = {}
@@ -196,18 +166,11 @@ def simulate(spec: SimSpec) -> RepeatedMeasuresData:
             )
     designs = {k: spec.design_matrix(k) for k in used}
 
-    def draw(i: int) -> SubjectData:
-        k = subject_template[i]
+    subjects = []
+    for i, k in enumerate(subject_template):
         t = spec.times[k]
         X = designs[k]
         z = standard_normals(spec.seed, i, t.size)
         y = X @ spec.beta + factors[k] @ z
-        return SubjectData(t, y, X)
-
-    threads = _thread_count()
-    if threads == 1:
-        subjects = [draw(i) for i in range(spec.n_subjects)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            subjects = list(pool.map(draw, range(spec.n_subjects)))
+        subjects.append(SubjectData(t, y, X))
     return RepeatedMeasuresData(tuple(subjects))

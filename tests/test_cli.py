@@ -42,6 +42,8 @@ def test_reparam_forward_example():
                "--rho-l", "0.6", "--delta", "2", "--range", "2")
     )
     assert out["schema_version"] == 1
+    assert list(out["input"]) == ["sigma2", "rho_l", "delta"]
+    assert list(out["output"]) == ["sigma2", "tau", "rho_a"]
     assert out["output"]["tau"] == 0.6
     assert out["output"]["rho_a"] == 0.6
     assert out["warnings"] == []
@@ -52,6 +54,8 @@ def test_reparam_inverse_example():
         invoke("reparam", "--direction", "arma2lear",
                "--tau", "0.6", "--rho-a", "0.6", "--range", "2")
     )
+    assert list(out["input"]) == ["sigma2", "tau", "rho_a"]
+    assert list(out["output"]) == ["sigma2", "rho_l", "delta"]
     assert out["output"]["rho_l"] == 0.6
     assert out["output"]["delta"] == pytest.approx(2.0, rel=1e-15)
 
@@ -63,6 +67,13 @@ def test_reparam_derives_range_from_times():
     )
     # spacing 2 normalizes [2,4,6,8] to distances 1..3
     assert out["range"] == 2.0
+
+
+def test_reparam_refuses_times_without_a_common_gap():
+    result = invoke("reparam", "--direction", "lear2arma",
+                    "--rho-l", "0.5", "--delta", "3", "--times", "1,2,4.5")
+    assert result.exit_code == 15
+    assert result.stdout.strip() == "E_NOT_SPECIAL_CASE"
 
 
 def test_reparam_needs_exactly_one_range_source():
@@ -167,12 +178,12 @@ def test_check_special_case_reports_eligibility(tmp_path):
 # simulate / fit / compare over files
 
 
-def spec_file(tmp_path, n_subjects=50):
+def spec_file(tmp_path, n_subjects=50, times=((1.0, 2.0, 3.0, 4.0),)):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({
         "schema_version": 1,
         "n_subjects": n_subjects,
-        "times": [[1.0, 2.0, 3.0, 4.0]],
+        "times": times,
         "beta": [1.0],
         "design": "intercept",
         "seed": 9,
@@ -192,11 +203,20 @@ def test_simulate_writes_reproducible_csv(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_simulate_reports_a_non_numeric_spec_field(tmp_path):
+    spec = spec_file(tmp_path, times="abc")
+    result = invoke("simulate", "--spec", spec, "--out", str(tmp_path / "a.csv"))
+    assert result.exit_code == 20
+    assert result.stdout.strip() == "E_PARSE_ERROR"
+    assert "'times'" in result.stderr
+
+
 def test_fit_reports_estimates(tmp_path):
     out = payload_of(invoke("fit", "--input", dataset_csv(tmp_path, 120)))
     assert out["command"] == "fit"
     assert out["parameterization"] == "lear"
     est = out["estimates"]
+    assert list(est) == ["sigma2", "rho_l", "delta"]
     assert abs(est["rho_l"] - 0.5) < 0.2
     assert out["max_loglik"] >= out["scan_max_loglik"]
     assert isinstance(out["boundary_flags"], list)
@@ -207,7 +227,7 @@ def test_fit_supports_the_position_form(tmp_path):
     out = payload_of(invoke("fit", "--input", dataset_csv(tmp_path, 80),
                             "--param", "arma11", "--criterion", "reml"))
     assert out["criterion"] == "reml"
-    assert set(out["estimates"]) == {"sigma2", "tau", "rho_a"}
+    assert list(out["estimates"]) == ["sigma2", "tau", "rho_a"]
 
 
 def test_fit_output_is_byte_identical(tmp_path):
@@ -224,7 +244,7 @@ def test_compare_reports_agreement(tmp_path):
     assert out["spacing"] == 1.0
     assert out["loglik_difference"] < 1e-4
     assert out["max_covariance_difference"] < 1e-3
-    assert set(out["arma_mapped_to_lear"]) == {"sigma2", "rho_l", "delta"}
+    assert list(out["arma_mapped_to_lear"]) == ["sigma2", "rho_l", "delta"]
 
 
 def test_compare_rejects_irregular_grids(tmp_path):

@@ -169,6 +169,9 @@ def test_load_sim_spec_round_trips(tmp_path):
     assert spec.n_subjects == 4
     assert isinstance(spec.covariance, lc.LearParams)
     assert lc.sim_spec_to_dict(spec) == d
+    assert list(lc.sim_spec_to_dict(spec)["covariance"]) == [
+        "parameterization", "sigma2", "rho_l", "delta",
+    ]
 
 
 def test_load_sim_spec_accepts_single_template(tmp_path):
@@ -186,6 +189,9 @@ def test_load_sim_spec_reads_arma_covariances(tmp_path):
     }
     spec = lc.load_sim_spec(dump_spec(tmp_path, d))
     assert spec.covariance == lc.Arma11Params(2.0, 0.5, 0.4)
+    assert list(lc.sim_spec_to_dict(spec)["covariance"]) == [
+        "parameterization", "sigma2", "tau", "rho_a",
+    ]
 
 
 def test_load_sim_spec_defaults_the_design(tmp_path):
@@ -211,6 +217,11 @@ def test_load_sim_spec_defaults_the_design(tmp_path):
         (lambda d: d["covariance"].update(sigma2="big"), "must be a number"),
         (lambda d: d["covariance"].update(sigma2=True), "must be a number"),
         (lambda d: d.update(design=["dose"]), "design must be a string"),
+        (lambda d: d.update(times="abc"), "'times'"),
+        (lambda d: d.update(times=5), "'times'"),
+        (lambda d: d.update(times=[[1, "a", 3]]), "'times'"),
+        (lambda d: d.update(times=[1, [2, 3]]), "'times'"),
+        (lambda d: d.update(beta="x"), "'beta'"),
     ],
 )
 def test_load_sim_spec_rejects_malformed_specs(tmp_path, mutate, message):

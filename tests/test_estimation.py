@@ -36,6 +36,15 @@ def test_subject_data_validates_shapes():
         subject([1, 2], [1.0, np.nan])
 
 
+def test_subject_data_freezes_copies_not_the_callers_arrays():
+    t, y, X = np.array([1.0, 2.0]), np.array([0.1, 0.2]), np.ones((2, 1))
+    s = lc.SubjectData(t, y, X)
+    for stored in (s.times, s.y, s.X):
+        assert not stored.flags.writeable
+    t[0], y[0], X[0, 0] = 0.5, 9.0, 9.0
+    assert (s.times[0], s.y[0], s.X[0, 0]) == (1.0, 0.1, 1.0)
+
+
 def test_dataset_requires_consistent_design_width():
     s1 = subject([1, 2], [0.1, 0.2])
     s2 = subject([1, 2], [0.3, 0.4], X=np.ones((2, 2)))
@@ -266,7 +275,7 @@ def test_fit_result_to_dict_is_json_friendly():
     data = simulated_dataset(30, [1, 2, 3, 4], seed=19)
     d = lc.fit(data).to_dict()
     assert d["parameterization"] == "lear"
-    assert set(d["estimates"]) == {"sigma2", "rho_l", "delta"}
+    assert list(d["estimates"]) == ["sigma2", "rho_l", "delta"]
     assert isinstance(d["boundary_flags"], list)
     assert isinstance(d["beta_hat"][0], float)
 

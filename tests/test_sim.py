@@ -78,7 +78,10 @@ def test_spec_rejects_bad_subject_counts(bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [(), (np.array([]),), (np.array([2.0, 1.0]),), (np.array([1.0, np.nan]),), 3.0],
+    [
+        (), (np.array([]),), (np.array([2.0, 1.0]),), (np.array([1.0, np.nan]),),
+        3.0, "abc",
+    ],
 )
 def test_spec_rejects_bad_time_templates(bad):
     with pytest.raises(lc.InvalidGrid):
@@ -96,6 +99,17 @@ def test_spec_rejects_beta_design_mismatch():
         spec_of(beta=np.array([1.0, 2.0]))  # intercept design has one column
     with pytest.raises(lc.InvalidSize):
         spec_of(beta=np.array([1.0]), design="intercept-time")
+
+
+def test_spec_freezes_copies_not_the_callers_arrays():
+    times, beta, design = TIMES.copy(), np.array([1.0, 0.5]), np.ones((5, 2))
+    spec = spec_of(times=(times,), beta=beta, design=(design,))
+    for stored in (spec.times[0], spec.beta, spec.design[0]):
+        assert not stored.flags.writeable
+    times[0], beta[0], design[0, 0] = -1.0, 9.0, 9.0
+    assert spec.times[0][0] == 1.0
+    assert spec.beta[0] == 1.0
+    assert spec.design[0][0, 0] == 1.0
 
 
 def test_spec_rejects_non_parameter_covariance():
@@ -163,19 +177,20 @@ def test_simulate_subject_streams_ignore_cohort_size():
         assert np.array_equal(small.subjects[i].y, large.subjects[i].y)
 
 
-def test_simulate_is_thread_count_invariant(monkeypatch):
+def test_simulate_ignores_a_leftover_threads_variable(monkeypatch, tmp_path):
+    # A LEARCOV_THREADS value left in an environment must neither fail nor
+    # change the output: simulation is sequential and reads no variable.
     spec = spec_of(n_subjects=17, times=(TIMES, TIMES[:2]))
+
+    def csv_bytes(name):
+        lc.write_long_csv(tmp_path / name, lc.simulate(spec))
+        return (tmp_path / name).read_bytes()
+
     monkeypatch.delenv("LEARCOV_THREADS", raising=False)
-    sequential = dataset_bytes(lc.simulate(spec))
-    monkeypatch.setenv("LEARCOV_THREADS", "4")
-    assert dataset_bytes(lc.simulate(spec)) == sequential
-
-
-@pytest.mark.parametrize("bad", ["0", "-2", "four", ""])
-def test_simulate_rejects_bad_thread_settings(monkeypatch, bad):
-    monkeypatch.setenv("LEARCOV_THREADS", bad)
-    with pytest.raises(lc.InvalidParams):
-        lc.simulate(spec_of())
+    unset = csv_bytes("unset.csv")
+    for leftover in ("4", "four"):
+        monkeypatch.setenv("LEARCOV_THREADS", leftover)
+        assert csv_bytes(f"{leftover}.csv") == unset
 
 
 def test_simulate_cycles_through_templates():
