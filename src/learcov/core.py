@@ -72,8 +72,16 @@ class MeasurementGrid:
     spacing: float | None = None
 
     def __post_init__(self) -> None:
+        # A writable input is copied before freezing, so the caller's array
+        # stays writable; a read-only one is kept, so a grid can share the
+        # validated times of the subjects it describes.
+        frozen = []
         for t in self.subject_times:
-            t.setflags(write=False)
+            if t.flags.writeable:
+                t = t.copy()
+                t.setflags(write=False)
+            frozen.append(t)
+        object.__setattr__(self, "subject_times", tuple(frozen))
 
     @property
     def n_subjects(self) -> int:
@@ -134,7 +142,18 @@ def build_grid(
     ]
     if not vectors:
         raise InvalidGrid("grid needs at least one subject")
+    return _pooled_grid(vectors, d_min, d_max)
 
+
+def _pooled_grid(
+    vectors, d_min: float | None = None, d_max: float | None = None
+) -> MeasurementGrid:
+    """Grid over already validated read-only time vectors, kept uncopied.
+
+    Pools the distance extremes and checks the overrides as
+    :func:`build_grid` documents; the vectors must come from
+    :func:`validated_times` or an equivalent check.
+    """
     observed_min = math.inf
     observed_max = -math.inf
     for t in vectors:
@@ -245,23 +264,28 @@ class Arma11Params:
 def _lear_corr(
     rho_l: float, delta: float, times: np.ndarray, d_min: float, d_max: float
 ) -> np.ndarray:
-    """Unit-diagonal LEAR correlation matrix from raw values (no validation)."""
+    """Unit-diagonal LEAR correlation matrix from raw values (no validation).
+
+    ``times`` may carry leading batch dimensions: times of shape (..., p)
+    give matrices of shape (..., p, p), each entry computed as for one
+    vector alone.
+    """
     t = np.asarray(times, dtype=float)
-    p = t.size
-    d = np.abs(t[:, None] - t[None, :])
+    d = np.abs(t[..., :, None] - t[..., None, :])
+    diag = np.arange(t.shape[-1])
     # Diagonal distances are patched to d_min so the exponent stays benign
     # there; the diagonal is overwritten with 1 afterwards.
-    np.fill_diagonal(d, d_min)
+    d[..., diag, diag] = d_min
     if d_max > d_min:
         exponent = d_min + delta * (d - d_min) / (d_max - d_min)
     else:
         # Zero range: every distance equals d_min and delta has no effect.
-        exponent = np.full((p, p), d_min)
+        exponent = np.full(d.shape, d_min)
     if rho_l > 0.0:
         corr = np.power(rho_l, exponent)
     else:
-        corr = np.zeros((p, p))
-    np.fill_diagonal(corr, 1.0)
+        corr = np.zeros(d.shape)
+    corr[..., diag, diag] = 1.0
     return corr
 
 

@@ -16,9 +16,22 @@ through a Cholesky factor of G_i; log determinants come from the factor's
 diagonal. Failure to factor raises NotPositiveDefinite rather than being
 repaired.
 
-Numerical policy: subjects sharing a time pattern share one factorization,
-and all cross-subject reductions use exactly rounded summation (math.fsum),
-so results are bit-identical under any reordering of the subjects.
+Numerical policy: subjects sharing a time pattern share one correlation
+matrix G, so with Z_i = [X_i | y_i] their whole contribution is
+
+    sum_i Z_i' G^-1 Z_i = sum_jk (G^-1)_jk C_jk,   C = sum_i Z_i (x) Z_i
+
+(the pattern grouping of Jennrich and Schluchter, 1986). The per-pattern
+tensor C is built once per dataset, each entry an exactly rounded sum
+(math.fsum) of per-subject products. One evaluation factors one G per
+pattern, batched over the patterns of equal length, so its cost grows with
+the number of distinct time patterns, not with the number of subjects; with
+per-subject times every subject is its own pattern. Pattern terms and log
+determinants are again summed exactly across patterns, so results are
+bit-identical under any reordering of the subjects. The responses are
+centred on an identity-weight least-squares fit beta0 before C is built: the
+residual quadratic form is then a difference of small numbers rather than
+of two large ones, which keeps it accurate near a perfect fit.
 
 Optimization is a coarse grid scan over the (rho-type, second-parameter) box
 followed by Nelder-Mead refinement on transformed coordinates (logit for
@@ -31,7 +44,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
@@ -42,7 +55,7 @@ from .core import (
     _arma11_corr,
     _lear_corr,
     arma11_covariance,
-    build_grid,
+    _pooled_grid,
     lear_covariance,
     validate_arma11_values,
     validate_lear_values,
@@ -137,7 +150,8 @@ class RepeatedMeasuresData:
                 f"stacked design matrix has rank below its {q} columns"
             )
         if any(s.p > 1 for s in self.subjects):
-            g = build_grid([s.times for s in self.subjects])
+            # SubjectData has validated and frozen the times; share them.
+            g = _pooled_grid([s.times for s in self.subjects])
         else:
             g = None
         object.__setattr__(self, "_grid", g)
@@ -180,37 +194,62 @@ class RepeatedMeasuresData:
 
 
 class _Prepared:
-    """Per-dataset workspace: subjects grouped by identical time pattern.
+    """Per-dataset workspace: sufficient statistics per time pattern.
 
-    For each pattern the per-subject [X | y] blocks are packed side by side
-    into one matrix so a single triangular solve whitens the whole group.
+    Subjects are grouped by their time vector (a pattern), and patterns by
+    their length p. ``groups`` holds, for each length, the patterns' times
+    stacked as (P, p), their subject counts m as (P,), and their
+    cross-product tensors C as (P, p * p, (q+1) * (q+1)), where
+    C[n, j*p + k, a*(q+1) + b] = sum_i Z_i[j, a] Z_i[k, b] over the subjects
+    of pattern n, with Z_i = [X_i | y_i - X_i beta0]. Every entry of C is
+    an exactly rounded sum, and ``beta0`` solves the exactly summed
+    identity-weight normal equations, so the workspace does not depend on
+    subject order. Patterns are kept sorted by their times for the same
+    reason. Nothing per subject is kept.
+
+    C holds (p(q+1))^2 numbers per pattern against m p(q+1) for the
+    [X | y] of its m subjects: it is the smaller of the two when m > p(q+1),
+    and p(q+1) times the larger when every subject has its own times.
     """
 
     def __init__(self, data: RepeatedMeasuresData):
-        order: list[bytes] = []
-        groups: dict[bytes, list[int]] = {}
-        for idx, s in enumerate(data.subjects):
-            key = s.times.tobytes()
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(idx)
-        self.q = data.q
-        self.n = data.n_subjects
+        q = self.q = data.q
         self.M = data.n_obs
-        self.patterns = []
-        q = self.q
-        for key in order:
-            idxs = groups[key]
-            p = data.subjects[idxs[0]].p
-            block = np.empty((p, len(idxs) * (q + 1)))
-            for j, idx in enumerate(idxs):
-                s = data.subjects[idx]
-                block[:, j * (q + 1): j * (q + 1) + q] = s.X
-                block[:, j * (q + 1) + q] = s.y
-            self.patterns.append(
-                (data.subjects[idxs[0]].times, np.asarray(idxs), block, p, len(idxs))
-            )
+        Xt = np.vstack([s.X for s in data.subjects]).T
+        y = np.concatenate([s.y for s in data.subjects])
+        self.beta0 = cho_solve(
+            (_normal_factor(_exact_gram(Xt), "the design is rank deficient"),
+             True),
+            _exact_gram(Xt, y[None, :])[:, 0],
+        )
+
+        by_times: dict[bytes, list[SubjectData]] = {}
+        for s in data.subjects:
+            by_times.setdefault(s.times.tobytes(), []).append(s)
+        by_length: dict[int, list[list[SubjectData]]] = {}
+        for _, members in sorted(by_times.items()):
+            by_length.setdefault(members[0].p, []).append(members)
+
+        self.groups = []
+        for p, patterns in sorted(by_length.items()):
+            C = np.empty((len(patterns), p, p, q + 1, q + 1))
+            for n, members in enumerate(patterns):
+                m = len(members)
+                Z = np.empty((m, p, q + 1))
+                for i, s in enumerate(members):
+                    Z[i, :, :q] = s.X
+                    Z[i, :, q] = s.y
+                # Elementwise, so each residual is rounded the same way
+                # wherever its subject sits in the data.
+                for a in range(q):
+                    Z[:, :, q] -= Z[:, :, a] * self.beta0[a]
+                gram = _exact_gram(np.ascontiguousarray(Z.reshape(m, -1).T))
+                C[n] = gram.reshape(p, q + 1, p, q + 1).transpose(0, 2, 1, 3)
+            self.groups.append((
+                np.array([members[0].times for members in patterns]),
+                np.array([len(members) for members in patterns]),
+                C.reshape(len(patterns), p * p, (q + 1) ** 2),
+            ))
         if data._grid is not None:
             self.d_min, self.d_max = data._grid.d_min, data._grid.d_max
         else:
@@ -218,62 +257,91 @@ class _Prepared:
             self.d_min = self.d_max = 1.0
 
 
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.tolist())
+# Products summed per math.fsum batch; bounds the temporaries of
+# _exact_gram whatever the number of subjects.
+_SUM_CHUNK = 1 << 12
+
+
+def _exact_gram(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """A @ B.T with every entry an exactly rounded sum (math.fsum).
+
+    A and B hold one variable per row and one observation per column.
+    Without B the result is A @ A.T, and only its upper triangle is summed.
+    """
+    symmetric = B is None
+    if symmetric:
+        B = A
+    m = A.shape[1]
+    if m <= 2:
+        # One product, or one rounded sum of two: exactly rounded already.
+        return (A[:, None, :] * B[None, :, :]).sum(axis=-1)
+    if symmetric:
+        r, c = np.triu_indices(A.shape[0])
+    else:
+        r, c = (idx.ravel() for idx in np.indices((A.shape[0], B.shape[0])))
+    sums = np.empty(r.size)
+    step = max(1, _SUM_CHUNK // m)
+    for lo in range(0, r.size, step):
+        products = A[r[lo:lo + step]] * B[c[lo:lo + step]]
+        sums[lo:lo + step] = [math.fsum(row) for row in products.tolist()]
+    out = np.empty((A.shape[0], B.shape[0]))
+    out[r, c] = sums
+    if symmetric:
+        out[c, r] = sums
+    return out
+
+
+def _normal_factor(A: np.ndarray, what: str) -> np.ndarray:
+    """Cholesky factor of a normal-equations matrix, RankDeficient if singular."""
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"normal equations are singular; {what}") from exc
 
 
 def _profile_parts(prep: _Prepared, corr_builder, criterion: str):
     """Profiled log-likelihood plus the profiled beta_hat and sigma2_hat."""
-    n, q, M = prep.n, prep.q, prep.M
+    q, M = prep.q, prep.M
     if criterion == "reml" and M <= q:
         raise InvalidSize(
             f"REML needs more observations ({M}) than design columns ({q})"
         )
-    logdet_s = np.empty(n)
-    xtx_s = np.empty((n, q, q))
-    xty_s = np.empty((n, q))
-    whitened = []
-    for times, idxs, block, p, m in prep.patterns:
-        corr = corr_builder(times, p)
+    terms = []
+    logdets = []
+    for times, counts, C in prep.groups:
+        P, p = times.shape
         try:
-            L = np.linalg.cholesky(corr)
+            # (P, p, p), or one (p, p) shared by every pattern of the group.
+            L = np.linalg.cholesky(corr_builder(times))
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(
                 f"correlation matrix for a {p}-measurement pattern is not "
                 f"positive definite"
             ) from exc
-        logdet = 2.0 * math.fsum(map(math.log, np.diag(L)))
-        W = solve_triangular(L, block, lower=True, check_finite=False)
-        W3 = W.reshape(p, m, q + 1)
-        Xw = W3[:, :, :q]
-        yw = W3[:, :, q]
-        logdet_s[idxs] = logdet
-        xtx_s[idxs] = np.einsum("pma,pmb->mab", Xw, Xw)
-        xty_s[idxs] = np.einsum("pma,pm->ma", Xw, yw)
-        whitened.append((idxs, Xw, yw))
+        diag = np.broadcast_to(np.diagonal(L, axis1=-2, axis2=-1), (P, p))
+        logs = list(map(math.log, diag.ravel().tolist()))
+        logdets.extend(
+            m * (2.0 * math.fsum(logs[n * p:(n + 1) * p]))
+            for n, m in enumerate(counts.tolist())
+        )
+        L_inv = np.linalg.inv(L)
+        G_inv = np.broadcast_to(np.swapaxes(L_inv, -1, -2) @ L_inv, (P, p, p))
+        terms.append((G_inv.reshape(P, 1, p * p) @ C)[:, 0])
 
-    # Exactly rounded cross-subject sums: results do not depend on the order
-    # subjects were supplied in.
-    A = np.array([[_fsum(xtx_s[:, a, b]) for b in range(q)] for a in range(q)])
-    bvec = np.array([_fsum(xty_s[:, a]) for a in range(q)])
-    try:
-        La = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(
-            "whitened normal equations are singular; the design is rank "
-            "deficient under this correlation"
-        ) from exc
-    beta = solve_triangular(
-        La.T, solve_triangular(La, bvec, lower=True, check_finite=False),
-        lower=False, check_finite=False,
+    # Exactly rounded sums across patterns: results do not depend on the
+    # order subjects were supplied in.
+    S = np.array(
+        [math.fsum(col) for col in np.concatenate(terms).T.tolist()]
+    ).reshape(q + 1, q + 1)
+    La = _normal_factor(
+        S[:q, :q], "the design is rank deficient under this correlation"
     )
-
-    quad_s = np.empty(n)
-    for idxs, Xw, yw in whitened:
-        resid = yw - np.einsum("pma,a->pm", Xw, beta)
-        quad_s[idxs] = np.einsum("pm,pm->m", resid, resid)
-    quad = _fsum(quad_s)
-    sum_logdet = _fsum(logdet_s)
+    u = solve_triangular(La, S[:q, q], lower=True, check_finite=False)
+    beta = prep.beta0 + solve_triangular(La.T, u, lower=False, check_finite=False)
+    # Residual quadratic form of the centred responses after the GLS
+    # correction: c - b' A^-1 b with A = La La'.
+    quad = S[q, q] - math.fsum((u * u).tolist())
+    sum_logdet = math.fsum(logdets)
 
     denom = M if criterion == "ml" else M - q
     sigma2 = quad / denom
@@ -293,10 +361,11 @@ def _profile_parts(prep: _Prepared, corr_builder, criterion: str):
 
 
 def _corr_builder(parameterization: str, a: float, b: float, prep: _Prepared):
+    """Correlation matrices for stacked pattern times of shape (P, p)."""
     if parameterization == "lear":
         d_min, d_max = prep.d_min, prep.d_max
-        return lambda times, p: _lear_corr(a, b, times, d_min, d_max)
-    return lambda times, p: _arma11_corr(a, b, p)
+        return lambda times: _lear_corr(a, b, times, d_min, d_max)
+    return lambda times: _arma11_corr(a, b, times.shape[-1])
 
 
 def _check_choices(criterion: str, parameterization: str) -> None:

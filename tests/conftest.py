@@ -6,7 +6,10 @@ different way.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg import solve_triangular
 
 import learcov as lc
 
@@ -75,3 +78,54 @@ def simulated_dataset(
         design=design,
     )
     return lc.simulate(spec)
+
+
+def whitened_profile_parts(data, corr_params, criterion="ml", parameterization="lear"):
+    """Profiled (loglik, beta_hat, sigma2_hat) by whitening every subject.
+
+    The direct formula the per-pattern statistics replace: each subject's
+    [X_i | y_i] is whitened by the Cholesky factor of its own correlation
+    matrix, and the whitened normal equations and residuals are summed
+    exactly (math.fsum) over subjects. Raises the same error types as
+    ``profile_estimates``.
+    """
+    a, b = (float(v) for v in corr_params)
+    q, M = data.q, data.n_obs
+    logdets, xtx, xty, whitened = [], [], [], []
+    for i, s in enumerate(data.subjects):
+        if s.p == 1:
+            corr = np.ones((1, 1))
+        elif parameterization == "lear":
+            corr = lc.lear_correlation(lc.LearParams(1.0, a, b), data.grid, i)
+        else:
+            corr = lc.arma11_covariance(lc.Arma11Params(1.0, a, b), s.p)
+        L = lc.cholesky_lower(corr)
+        Xw = solve_triangular(L, s.X, lower=True)
+        yw = solve_triangular(L, s.y, lower=True)
+        logdets.append(2.0 * math.fsum(map(math.log, np.diag(L))))
+        xtx.append(Xw.T @ Xw)
+        xty.append(Xw.T @ yw)
+        whitened.append((Xw, yw))
+    A = np.array([[math.fsum(t[i, j] for t in xtx) for j in range(q)]
+                  for i in range(q)])
+    rhs = np.array([math.fsum(t[i] for t in xty) for i in range(q)])
+    try:
+        La = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise lc.RankDeficient("whitened normal equations are singular") from exc
+    beta = solve_triangular(La.T, solve_triangular(La, rhs, lower=True), lower=False)
+    quad = math.fsum(
+        float(r @ r) for r in (yw - Xw @ beta for Xw, yw in whitened)
+    )
+    sigma2 = quad / (M if criterion == "ml" else M - q)
+    if sigma2 <= 0.0:
+        raise lc.SingularFit("residual quadratic form is zero")
+    sum_logdet = math.fsum(logdets)
+    if criterion == "ml":
+        loglik = -0.5 * (M * math.log(2.0 * math.pi * sigma2) + sum_logdet + M)
+    else:
+        adjustment = 2.0 * math.fsum(map(math.log, np.diag(La))) - q * math.log(sigma2)
+        loglik = -0.5 * (
+            M * math.log(2.0 * math.pi * sigma2) + sum_logdet + (M - q) + adjustment
+        )
+    return loglik, beta, sigma2

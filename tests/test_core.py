@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
+from learcov.core import validated_times
 from conftest import naive_arma11_matrix, naive_lear_matrix
 
 
@@ -57,10 +58,27 @@ def test_build_grid_override_must_bracket_observed_range():
         lc.build_grid([[1, 2, 3]], d_min=0.0)
 
 
+def test_build_grid_needs_a_subject():
+    with pytest.raises(lc.InvalidGrid):
+        lc.build_grid([])
+
+
 def test_grid_times_are_read_only():
     g = grid_of([1, 2, 3])
     with pytest.raises(ValueError):
         g.subject_times[0][0] = 99.0
+
+
+def test_grid_freezes_copies_not_the_callers_arrays():
+    t = np.array([1.0, 2.0, 4.0])
+    g = lc.MeasurementGrid((t,), 1.0, 3.0)
+    assert t.flags.writeable
+    assert not g.subject_times[0].flags.writeable
+    t[0] = 0.5
+    assert g.subject_times[0][0] == 1.0
+    # an already read-only vector is kept, not copied
+    frozen = validated_times([1.0, 2.0])
+    assert lc.MeasurementGrid((frozen,), 1.0, 1.0).subject_times[0] is frozen
 
 
 # --------------------------------------------------------------------------

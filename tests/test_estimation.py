@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 import learcov as lc
-from conftest import simulated_dataset
+from conftest import simulated_dataset, whitened_profile_parts
 
 
 def subject(times, y, X=None):
@@ -67,6 +67,20 @@ def test_dataset_grid_pools_across_subjects():
     assert (data.grid.d_min, data.grid.d_max) == (1.0, 4.0)
     assert data.n_obs == 5
     assert data.q == 1
+
+
+def test_dataset_needs_a_subject():
+    with pytest.raises(lc.InvalidSize):
+        lc.RepeatedMeasuresData(())
+
+
+def test_dataset_grid_shares_the_subjects_validated_times():
+    data = lc.RepeatedMeasuresData(
+        (subject([1, 2, 4], [0.1, 0.2, 0.3]), subject([3.0], [0.4]),
+         subject([1, 2], [0.5, 0.6]))
+    )
+    for i, s in enumerate(data.subjects):
+        assert np.shares_memory(data.grid.subject_times[i], s.times)
 
 
 def test_all_singleton_dataset_has_no_grid():
@@ -141,6 +155,161 @@ def test_non_positive_definite_theta_raises():
         lc.profile_loglik(data, (0.9, 5.0 * r))
 
 
+# --------------------------------------------------------------------------
+# per-pattern statistics against the whitened per-subject formula
+
+UNIT_PATTERNS = (((1, 2, 3, 4, 5, 6), 40), ((2, 3, 4, 5), 17), ((1, 2, 3), 5))
+IRREGULAR_PATTERNS = (
+    ((0.0, 0.7, 1.9, 4.0), 40), ((0.0, 1.1, 4.0), 17),
+    ((0.5, 2.0, 2.6, 3.1, 4.0), 5),
+)
+# Per-subject jittered times, 1 to 6 visits: most patterns hold one subject,
+# every fourth holds two, and one shared pattern holds five.
+_rng = np.random.default_rng(3)
+PER_SUBJECT_PATTERNS = tuple(
+    (tuple(np.arange(1.0, p + 1) + _rng.uniform(-0.3, 0.3, p)), 2 if i % 4 == 0 else 1)
+    for i, p in enumerate(_rng.integers(1, 7, 40))
+) + (((1.0, 2.0, 3.0, 4.0), 5),)
+
+
+def pattern_dataset(patterns, q, seed=0):
+    """Subjects grouped in time patterns of unequal size, polynomial design.
+
+    Responses are X beta plus AR(1)-correlated noise; the subjects of the
+    patterns are interleaved rather than grouped.
+    """
+    rng = np.random.default_rng(seed)
+    beta = np.array([1.0, 0.5, -0.25])[:q]
+    members = []
+    for times, count in patterns:
+        t = np.asarray(times, dtype=float)
+        X = np.vander(t, q, increasing=True)
+        L = np.linalg.cholesky(0.6 ** np.abs(np.subtract.outer(t, t)))
+        members.extend(
+            (rng.random(), subject(t, X @ beta + L @ rng.standard_normal(t.size), X))
+            for _ in range(count)
+        )
+    members.sort(key=lambda m: m[0])
+    return lc.RepeatedMeasuresData(tuple(s for _, s in members))
+
+
+def agreement_cases():
+    for q in (1, 2, 3):
+        single = pattern_dataset(UNIT_PATTERNS[:1], q)
+        multi = pattern_dataset(UNIT_PATTERNS, q)
+        irregular = pattern_dataset(IRREGULAR_PATTERNS, q)
+        per_subject = pattern_dataset(PER_SUBJECT_PATTERNS, q)
+        datasets = (("single", single), ("multi", multi), ("irregular", irregular),
+                    ("per-subject", per_subject))
+        for criterion in ("ml", "reml"):
+            for label, data in datasets:
+                r = data.grid.d_max - data.grid.d_min
+                thetas = [(0.3, 0.5 * r), (0.6, 1.5 * r), (0.9, 0.2 * r)]
+                yield pytest.param(data, "lear", criterion, thetas,
+                                   id=f"lear-{criterion}-q{q}-{label}")
+                if label in ("single", "multi"):
+                    yield pytest.param(data, "arma11", criterion,
+                                       [(0.3, 0.5), (0.6, 0.8), (-0.3, -0.5)],
+                                       id=f"arma11-{criterion}-q{q}-{label}")
+
+
+@pytest.mark.parametrize("data, parameterization, criterion, thetas", agreement_cases())
+def test_pattern_statistics_match_the_whitened_formula(
+    data, parameterization, criterion, thetas
+):
+    # The paths round differently (G^-1 contracted with exactly summed cross
+    # products, against whitening each subject), so they agree to a few
+    # units of double precision times the conditioning of G; the largest
+    # relative difference over these cases is 4.2e-14.
+    for theta in thetas:
+        got = lc.profile_estimates(data, theta, criterion, parameterization)
+        loglik, beta, sigma2 = whitened_profile_parts(
+            data, theta, criterion, parameterization
+        )
+        assert got.loglik == pytest.approx(loglik, rel=1e-12, abs=0)
+        np.testing.assert_allclose(got.beta_hat, beta, rtol=1e-12, atol=0)
+        assert got.sigma2_hat == pytest.approx(sigma2, rel=1e-12, abs=0)
+
+
+def without_rank_check(subjects):
+    """Dataset that skips the constructor's rank check, to reach the one of
+    the likelihood's identity-weight fit (``_Prepared``). The rank check on
+    the GLS normal equations after it can only fail by rounding, since
+    G^-1 is positive definite."""
+    subjects = tuple(subjects)
+    data = object.__new__(lc.RepeatedMeasuresData)
+    object.__setattr__(data, "subjects", subjects)
+    object.__setattr__(data, "_grid", lc.build_grid([s.times for s in subjects]))
+    return data
+
+
+def failure_cases():
+    unit = pattern_dataset(((tuple(range(1, 9)), 6), ((1, 2, 3), 3)), 1)
+    r = unit.grid.d_max - unit.grid.d_min
+    yield pytest.param(unit, (0.9, 5.0 * r), "lear", lc.NotPositiveDefinite,
+                       id="lear-indefinite")
+    yield pytest.param(unit, (0.95, -0.9), "arma11", lc.NotPositiveDefinite,
+                       id="arma11-indefinite")
+    zeros = pattern_dataset(UNIT_PATTERNS, 2)
+    zeros = lc.RepeatedMeasuresData(
+        tuple(subject(s.times, np.zeros(s.p), s.X) for s in zeros.subjects)
+    )
+    yield pytest.param(zeros, (0.5, 1.0), "lear", lc.SingularFit, id="zero-residuals")
+    zero_column = without_rank_check(
+        subject(s.times, s.y, np.column_stack([s.X, np.zeros(s.p)]))
+        for s in pattern_dataset(UNIT_PATTERNS, 1).subjects
+    )
+    yield pytest.param(zero_column, (0.5, 1.0), "lear", lc.RankDeficient,
+                       id="zero-design-column")
+
+
+@pytest.mark.parametrize("data, theta, parameterization, error", failure_cases())
+@pytest.mark.parametrize("criterion", ["ml", "reml"])
+def test_pattern_statistics_fail_where_the_whitened_formula_fails(
+    data, theta, parameterization, error, criterion
+):
+    with pytest.raises(error):
+        whitened_profile_parts(data, theta, criterion, parameterization)
+    with pytest.raises(error):
+        lc.profile_estimates(data, theta, criterion, parameterization)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 1365, 4097])
+def test_exact_gram_rounds_every_entry_once(m):
+    # Columns mix magnitudes so that a plain floating-point sum of the
+    # products differs from the exactly rounded one; m = 1365 splits the
+    # products over several math.fsum batches with a short last one.
+    from learcov.estimation import _exact_gram
+
+    rng = np.random.default_rng(m)
+    A = rng.standard_normal((4, m)) * 10.0 ** rng.integers(-8, 9, (4, m))
+    B = rng.standard_normal((2, m))
+    want = np.array([[math.fsum((a * b).tolist()) for b in A] for a in A])
+    assert np.array_equal(_exact_gram(A), want)
+    want = np.array([[math.fsum((a * b).tolist()) for b in B] for a in A])
+    assert np.array_equal(_exact_gram(A, B), want)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-5, 1e-7])
+def test_near_perfect_fit_keeps_its_residual_variance(eps):
+    # y = 1000 + 5t + eps * noise. Responses near 1000 carry rounding of
+    # about 1e-13, so a residual of size eps is only known to about
+    # 1e-13 / eps relative, on either path. Building the cross products from
+    # the raw responses instead loses the residual to cancellation: about
+    # 1e-6 relative error at eps = 1e-2, SingularFit or garbage below.
+    base = simulated_dataset(300, np.arange(1.0, 9.0), seed=61, beta=(0.0, 0.0),
+                             design="intercept-time")
+    data = lc.RepeatedMeasuresData(tuple(
+        lc.SubjectData(s.times, 1000.0 + 5.0 * s.times + eps * s.y, s.X)
+        for s in base.subjects
+    ))
+    r = data.grid.d_max - data.grid.d_min
+    for theta in ((0.6, r), (0.3, 0.5 * r), (0.9, 0.2 * r)):
+        _, _, sigma2 = whitened_profile_parts(data, theta)
+        got = lc.profile_estimates(data, theta).sigma2_hat
+        assert got == pytest.approx(sigma2, rel=1e-13 / eps, abs=0)
+
+
 def test_loglik_is_invariant_to_subject_order():
     spec = lc.SimSpec(
         n_subjects=30,
@@ -149,14 +318,17 @@ def test_loglik_is_invariant_to_subject_order():
         covariance=lc.LearParams(1.0, 0.5, 1.5),
         seed=77,
     )
-    data = lc.simulate(spec)
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        perm = rng.permutation(data.n_subjects)
-        shuffled = lc.RepeatedMeasuresData(tuple(data.subjects[i] for i in perm))
-        assert lc.profile_loglik(shuffled, (0.4, 2.0)) == lc.profile_loglik(
-            data, (0.4, 2.0)
-        )
+    for data in (lc.simulate(spec), pattern_dataset(IRREGULAR_PATTERNS, 3),
+                 pattern_dataset(PER_SUBJECT_PATTERNS, 2)):
+        want = lc.profile_estimates(data, (0.4, 2.0))
+        for _ in range(3):
+            perm = rng.permutation(data.n_subjects)
+            shuffled = lc.RepeatedMeasuresData(tuple(data.subjects[i] for i in perm))
+            got = lc.profile_estimates(shuffled, (0.4, 2.0))
+            assert got.loglik == want.loglik
+            assert got.sigma2_hat == want.sigma2_hat
+            np.testing.assert_array_equal(got.beta_hat, want.beta_hat)
 
 
 def test_pointwise_equivalence_of_parameterizations():
