@@ -107,9 +107,11 @@ def validated_times(seq, label: str = "times") -> np.ndarray:
         raise InvalidGrid(f"{label} must be numbers") from None
     if t.ndim != 1 or t.size == 0:
         raise InvalidGrid(f"{label} must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(t)):
+    # Method forms and slices: numpy's function wrappers cost more than
+    # the work on vectors this short.
+    if not np.isfinite(t).all():
         raise InvalidGrid(f"{label} must be finite")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
+    if t.size > 1 and not (t[1:] > t[:-1]).all():
         raise InvalidGrid(f"{label} must be strictly increasing")
     t.setflags(write=False)
     return t
@@ -145,6 +147,20 @@ def build_grid(
     return _pooled_grid(vectors, d_min, d_max)
 
 
+def _distinct_patterns(vectors) -> list[np.ndarray]:
+    """The distinct time vectors with two or more times, in first-appearance order.
+
+    Subjects of a design share a few time patterns, so a check that depends
+    only on the set of within-subject distances runs once per pattern
+    instead of once per subject. Vectors are compared by their bytes.
+    """
+    patterns: dict[bytes, np.ndarray] = {}
+    for t in vectors:
+        if t.size > 1:
+            patterns.setdefault(t.tobytes(), t)
+    return list(patterns.values())
+
+
 def _pooled_grid(
     vectors, d_min: float | None = None, d_max: float | None = None
 ) -> MeasurementGrid:
@@ -156,9 +172,7 @@ def _pooled_grid(
     """
     observed_min = math.inf
     observed_max = -math.inf
-    for t in vectors:
-        if t.size < 2:
-            continue
+    for t in _distinct_patterns(vectors):
         observed_min = min(observed_min, float(np.min(np.diff(t))))
         observed_max = max(observed_max, float(t[-1] - t[0]))
     if not math.isfinite(observed_min):

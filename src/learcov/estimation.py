@@ -37,6 +37,12 @@ Optimization is a coarse grid scan over the (rho-type, second-parameter) box
 followed by Nelder-Mead refinement on transformed coordinates (logit for
 rho-type parameters, log for delta). The refined point is only accepted if it
 does not fall below the best grid point, so the scan provides a floor.
+
+scipy is imported inside the functions that call it (scipy.linalg in
+_Prepared and _profile_parts, scipy.optimize and scipy.special in fit), not
+at module level: importing it takes longer than most commands that never fit
+(check-special-case, build-matrix, reparam) take to run, and this module is
+imported by all of them.
 """
 from __future__ import annotations
 
@@ -44,9 +50,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import minimize
-from scipy.special import expit, logit
 
 from .core import (
     Arma11Params,
@@ -110,7 +113,7 @@ class SubjectData:
             raise InvalidSize(f"y has shape {y.shape}, expected {t.shape}")
         if X.ndim != 2 or X.shape[0] != t.size:
             raise InvalidSize(f"X has shape {X.shape}, expected ({t.size}, q)")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
+        if not (np.isfinite(y).all() and np.isfinite(X).all()):
             raise InvalidSize("y and X must be finite")
         for name, arr in (("times", t), ("y", y), ("X", X)):
             arr.setflags(write=False)
@@ -213,6 +216,8 @@ class _Prepared:
     """
 
     def __init__(self, data: RepeatedMeasuresData):
+        from scipy.linalg import cho_solve
+
         q = self.q = data.q
         self.M = data.n_obs
         Xt = np.vstack([s.X for s in data.subjects]).T
@@ -301,6 +306,8 @@ def _normal_factor(A: np.ndarray, what: str) -> np.ndarray:
 
 def _profile_parts(prep: _Prepared, corr_builder, criterion: str):
     """Profiled log-likelihood plus the profiled beta_hat and sigma2_hat."""
+    from scipy.linalg import solve_triangular
+
     q, M = prep.q, prep.M
     if criterion == "reml" and M <= q:
         raise InvalidSize(
@@ -548,6 +555,9 @@ def fit(
         NotSpecialCase: ARMA(1,1) requested on an ineligible grid.
         FitFailed: every grid point failed to evaluate.
     """
+    from scipy.optimize import minimize
+    from scipy.special import expit, logit
+
     _check_choices(criterion, parameterization)
     opts = options or FitOptions()
     grid = data.grid

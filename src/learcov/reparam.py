@@ -28,7 +28,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Arma11Params, LearParams, MeasurementGrid, build_grid
+from .core import (
+    Arma11Params,
+    LearParams,
+    MeasurementGrid,
+    _distinct_patterns,
+    build_grid,
+)
 from .errors import (
     DegenerateRange,
     InvalidParams,
@@ -70,28 +76,25 @@ class SpecialCaseReport:
     eligible: bool
 
 
-def _pairwise_distances(grid: MeasurementGrid):
-    for t in grid.subject_times:
-        if t.size < 2:
-            continue
-        d = np.abs(t[:, None] - t[None, :])
-        yield d[np.triu_indices(t.size, k=1)]
-
-
 def check_special_case(
     grid: MeasurementGrid, rel_tol: float = DEFAULT_REL_TOL
 ) -> SpecialCaseReport:
-    """Report whether the grid admits the exact ARMA(1,1) reparameterization."""
-    gaps = np.concatenate(
-        [np.diff(t) for t in grid.subject_times if t.size > 1]
-    )
+    """Report whether the grid admits the exact ARMA(1,1) reparameterization.
+
+    The flags depend only on the distinct time patterns, so each pattern is
+    checked once however many subjects share it. The first subject with two
+    measurements fixes the gap h that every other gap is compared with.
+    """
+    patterns = _distinct_patterns(grid.subject_times)
+    gaps = np.concatenate([np.diff(t) for t in patterns])
     h = float(gaps[0])
     equally_spaced = bool(np.all(np.abs(gaps - h) <= rel_tol * abs(h)))
 
     scale = h if equally_spaced else 1.0
     integer_distances = True
-    for d in _pairwise_distances(grid):
-        s = d / scale
+    for t in patterns:
+        d = np.abs(t[:, None] - t[None, :])
+        s = d[np.triu_indices(t.size, k=1)] / scale
         if not np.all(np.abs(s - np.round(s)) <= rel_tol * np.maximum(1.0, np.abs(s))):
             integer_distances = False
             break

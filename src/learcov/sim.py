@@ -11,13 +11,16 @@ word w becomes the uniform ((w >> 11) + 0.5) * 2**-53, strictly inside
 stream therefore depends only on (seed, subject index), never on how many
 subjects exist or in what order they are generated, so identical specs give
 bit-identical datasets on any platform.
+
+The inverse CDF is scipy.special.ndtri, imported inside standard_normals:
+the data classes of this module are imported by every command, and only
+simulation needs scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import (
     Arma11Params,
@@ -50,6 +53,8 @@ def rule_design(rule: str, times: np.ndarray) -> np.ndarray:
 
 def standard_normals(seed: int, subject_index: int, n: int) -> np.ndarray:
     """Subject's standard normal draws; see the module reproducibility note."""
+    from scipy.special import ndtri
+
     key = np.array([seed, subject_index], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(n)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53

@@ -129,3 +129,45 @@ def whitened_profile_parts(data, corr_params, criterion="ml", parameterization="
             M * math.log(2.0 * math.pi * sigma2) + sum_logdet + (M - q) + adjustment
         )
     return loglik, beta, sigma2
+
+
+def per_subject_special_case(grid, rel_tol=1e-9) -> lc.SpecialCaseReport:
+    """``check_special_case`` with every subject's gaps and distances checked.
+
+    The direct form that the once-per-pattern check replaces: it visits the
+    subjects in order, whether or not their times repeat an earlier subject.
+    """
+    gaps = np.concatenate(
+        [np.diff(t) for t in grid.subject_times if t.size > 1]
+    )
+    h = float(gaps[0])
+    equally_spaced = bool(np.all(np.abs(gaps - h) <= rel_tol * abs(h)))
+    scale = h if equally_spaced else 1.0
+    integer_distances = True
+    for t in grid.subject_times:
+        if t.size < 2:
+            continue
+        d = np.abs(t[:, None] - t[None, :])[np.triu_indices(t.size, k=1)]
+        s = d / scale
+        if not np.all(np.abs(s - np.round(s)) <= rel_tol * np.maximum(1.0, np.abs(s))):
+            integer_distances = False
+            break
+    dmin_is_one = abs(grid.d_min / scale - 1.0) <= rel_tol
+    return lc.SpecialCaseReport(
+        equally_spaced=equally_spaced,
+        integer_distances=integer_distances,
+        dmin_is_one=dmin_is_one,
+        spacing=h if equally_spaced else None,
+        eligible=equally_spaced and integer_distances and dmin_is_one,
+    )
+
+
+def per_subject_extremes(vectors) -> tuple[float, float]:
+    """Smallest gap and largest span over every subject with two times."""
+    observed_min, observed_max = math.inf, -math.inf
+    for t in vectors:
+        if t.size < 2:
+            continue
+        observed_min = min(observed_min, float(np.min(np.diff(t))))
+        observed_max = max(observed_max, float(t[-1] - t[0]))
+    return observed_min, observed_max

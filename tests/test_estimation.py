@@ -36,6 +36,33 @@ def test_subject_data_validates_shapes():
         subject([1, 2], [1.0, np.nan])
 
 
+@pytest.mark.parametrize("times, y, X, error, message", [
+    ("ab", [1.0, 2.0], None, lc.InvalidGrid, "times must be numbers"),
+    ([], [], None, lc.InvalidGrid, "times must be a nonempty 1-d sequence"),
+    ([[1.0, 2.0]], [1.0, 2.0], None, lc.InvalidGrid,
+     "times must be a nonempty 1-d sequence"),
+    ([1.0, np.inf], [1.0, 2.0], None, lc.InvalidGrid, "times must be finite"),
+    ([1.0, np.nan], [1.0, 2.0], None, lc.InvalidGrid, "times must be finite"),
+    ([1.0, 2.0, 2.0], [1.0, 2.0, 3.0], None, lc.InvalidGrid,
+     "times must be strictly increasing"),
+    ([1.0, 3.0, 2.0], [1.0, 2.0, 3.0], None, lc.InvalidGrid,
+     "times must be strictly increasing"),
+    ([1.0, 2.0], [1.0, 2.0, 3.0], None, lc.InvalidSize,
+     "y has shape (3,), expected (2,)"),
+    ([1.0, 2.0], [1.0, 2.0], np.ones(2), lc.InvalidSize,
+     "X has shape (2,), expected (2, q)"),
+    ([1.0, 2.0], [1.0, -np.inf], None, lc.InvalidSize, "y and X must be finite"),
+    ([1.0, 2.0], [1.0, 2.0], [[1.0], [np.nan]], lc.InvalidSize,
+     "y and X must be finite"),
+])
+def test_subject_data_names_what_is_wrong(times, y, X, error, message):
+    if X is None:
+        X = np.ones((len(y), 1))
+    with pytest.raises(error) as info:
+        lc.SubjectData(times, y, X)
+    assert str(info.value) == message
+
+
 def test_subject_data_freezes_copies_not_the_callers_arrays():
     t, y, X = np.array([1.0, 2.0]), np.array([0.1, 0.2]), np.ones((2, 1))
     s = lc.SubjectData(t, y, X)

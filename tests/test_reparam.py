@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
+from conftest import per_subject_extremes, per_subject_special_case
 
 
 def grid_of(*times_lists):
@@ -53,6 +54,60 @@ def test_eligibility_is_scale_invariant(c, p):
     base = np.arange(1.0, p + 1.0)
     assert lc.check_special_case(grid_of(base)).eligible
     assert lc.check_special_case(grid_of(c * base)).eligible
+
+
+def _shuffled(patterns, copies, seed):
+    subjects = [p for p in patterns for _ in range(copies)]
+    order = np.random.default_rng(seed).permutation(len(subjects))
+    return [subjects[i] for i in order]
+
+
+# h1 is within the default relative tolerance of 1 but not equal to it.
+_H1 = 1.0 + 4e-10
+
+PATTERN_CASES = {
+    **{
+        f"repeats shuffled, seed {seed}": _shuffled(
+            [[1, 2, 3, 4], [2, 3, 4], [1, 2, 3, 4, 5, 6]], 20, seed)
+        for seed in range(3)
+    },
+    "gap-2 repeats shuffled": _shuffled([[2, 4, 6], [10, 12], [4, 6, 8, 10]], 15, 7),
+    "non-integer distance only in a late repeated pattern":
+        [[0, 1, 3]] * 40 + [[0, 1, 2.5], [0, 1, 3]] * 3,
+    "gap within tolerance first": [[0, _H1, 2 * _H1], [0, 1, 2]] * 10,
+    "exact gap first": [[0, 1, 2], [0, _H1, 2 * _H1]] * 10,
+    "single measurements mixed in":
+        [[5.0], [1, 2, 3], [7.0], [2, 3], [9.0], [1, 2, 3], [7.0]] * 4,
+    "irregular": _shuffled([[1, 2, 4, 7.5], [1, 2, 4], [2, 4, 7.5]], 10, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(PATTERN_CASES))
+def test_pattern_checks_match_the_per_subject_checks(name):
+    subjects = PATTERN_CASES[name]
+    grid = grid_of(*subjects)
+    assert grid.n_subjects == len(subjects)
+    assert (grid.d_min, grid.d_max) == per_subject_extremes(grid.subject_times)
+    for rel_tol in (1e-9, 1e-12):
+        report = lc.check_special_case(grid, rel_tol)
+        reference = per_subject_special_case(grid, rel_tol)
+        assert report == reference
+        if reference.spacing is not None:
+            assert report.spacing.hex() == reference.spacing.hex()
+
+
+def test_first_subject_with_two_times_fixes_the_spacing():
+    late = lc.check_special_case(grid_of(*PATTERN_CASES["exact gap first"]))
+    early = lc.check_special_case(
+        grid_of(*PATTERN_CASES["gap within tolerance first"])
+    )
+    assert late.eligible and early.eligible
+    assert late.spacing == 1.0
+    assert early.spacing == _H1
+    flags = lc.check_special_case(
+        grid_of(*PATTERN_CASES["non-integer distance only in a late repeated pattern"])
+    )
+    assert not flags.equally_spaced and not flags.integer_distances
 
 
 def test_normalize_grid_rescales_to_unit_gaps():
