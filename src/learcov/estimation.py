@@ -38,11 +38,13 @@ followed by Nelder-Mead refinement on transformed coordinates (logit for
 rho-type parameters, log for delta). The refined point is only accepted if it
 does not fall below the best grid point, so the scan provides a floor.
 
-scipy is imported inside the functions that call it (scipy.linalg in
-_Prepared and _profile_parts, scipy.optimize and scipy.special in fit), not
-at module level: importing it takes longer than most commands that never fit
-(check-special-case, build-matrix, reparam) take to run, and this module is
-imported by all of them.
+This module does not use scipy: loading scipy.optimize, scipy.special and
+scipy.linalg took about half the wall time of a CLI fit on 3000 subjects,
+for about a hundred simplex steps and a few q x q solves. The refinement is
+a port of scipy's default Nelder-Mead (_nelder_mead), the solves are
+substitutions that round as the BLAS kernels behind scipy.linalg do, and
+expit/logit use libm through math, so fits take the same steps and give
+the same bits as with scipy (for designs of up to 7 columns).
 """
 from __future__ import annotations
 
@@ -216,15 +218,12 @@ class _Prepared:
     """
 
     def __init__(self, data: RepeatedMeasuresData):
-        from scipy.linalg import cho_solve
-
         q = self.q = data.q
         self.M = data.n_obs
         Xt = np.vstack([s.X for s in data.subjects]).T
         y = np.concatenate([s.y for s in data.subjects])
-        self.beta0 = cho_solve(
-            (_normal_factor(_exact_gram(Xt), "the design is rank deficient"),
-             True),
+        self.beta0 = _cho_solve(
+            _normal_factor(_exact_gram(Xt), "the design is rank deficient"),
             _exact_gram(Xt, y[None, :])[:, 0],
         )
 
@@ -304,10 +303,95 @@ def _normal_factor(A: np.ndarray, what: str) -> np.ndarray:
         raise RankDeficient(f"normal equations are singular; {what}") from exc
 
 
+# Solves with the q x q factor L of a normal-equations matrix. Each rounds
+# as the OpenBLAS kernels behind the scipy.linalg call it replaces do on a
+# machine with fused multiply-add: bit-equal for q = 1..7 (q = 8 differs in
+# the last bits). test_estimation.py checks them against scipy.
+
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c with one rounding, for operands whose product is normal.
+
+    Dekker's two-product gives p + e == a * b exactly; math.fsum then rounds
+    the exact sum p + e + c once.
+    """
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return math.fsum((p, e, c))
+
+
+def _forward_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L x = b row by row: x_i = (b_i - L[i, :i] . x[:i]) / L_ii.
+
+    Rounds as scipy.linalg.solve_triangular(L, b, lower=True).
+    """
+    x = np.empty(b.size)
+    for i in range(b.size):
+        x[i] = (b[i] - L[i, :i] @ x[:i]) / L[i, i]
+    return x
+
+
+def _fused_solve(
+    L: np.ndarray, b: np.ndarray, transpose: bool, blocked: bool = False
+) -> np.ndarray:
+    """Solve L x = b, or L' x = b, with fused multiply-add updates.
+
+    Unblocked, it goes column by column: x_i = b_i / L_ii, then one fused
+    update of every unsolved entry, as scipy.linalg.solve_triangular(L.T, b)
+    rounds. ``blocked`` rounds as the matrix kernels behind cho_solve: rows
+    are solved in blocks of 4, 2 and 1 (smallest first when transposed),
+    dividing is multiplying by 1 / L_ii, and a block first subtracts from
+    each of its rows that row's dot product with the solved entries, a chain
+    of fused multiply-adds.
+    """
+    q = b.size
+    rows = L.tolist()
+    x = b.tolist()
+
+    def entry(i: int, k: int) -> float:
+        return rows[k][i] if transpose else rows[i][k]
+
+    order = list(range(q - 1, -1, -1)) if transpose else list(range(q))
+    if blocked:
+        sizes = [4] * (q // 4) + [s for s in (2, 1) if q & s]
+        if transpose:
+            sizes.reverse()
+    else:
+        sizes = [q]
+    solved = []
+    for size in sizes:
+        block, order = order[:size], order[size:]
+        if solved:
+            for i in block:
+                dot = entry(i, solved[0]) * x[solved[0]]
+                for k in solved[1:]:
+                    dot = _fma(entry(i, k), x[k], dot)
+                x[i] -= dot
+        for n, i in enumerate(block):
+            x[i] = x[i] * (1.0 / rows[i][i]) if blocked else x[i] / rows[i][i]
+            for k in block[n + 1:]:
+                x[k] = _fma(-x[i], entry(k, i), x[k])
+        solved = sorted(solved + block)
+    return np.array(x)
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L') x = b; rounds as scipy.linalg.cho_solve((L, True), b)."""
+    return _fused_solve(
+        L, _fused_solve(L, b, False, blocked=True), True, blocked=True
+    )
+
+
 def _profile_parts(prep: _Prepared, corr_builder, criterion: str):
     """Profiled log-likelihood plus the profiled beta_hat and sigma2_hat."""
-    from scipy.linalg import solve_triangular
-
     q, M = prep.q, prep.M
     if criterion == "reml" and M <= q:
         raise InvalidSize(
@@ -343,8 +427,8 @@ def _profile_parts(prep: _Prepared, corr_builder, criterion: str):
     La = _normal_factor(
         S[:q, :q], "the design is rank deficient under this correlation"
     )
-    u = solve_triangular(La, S[:q, q], lower=True, check_finite=False)
-    beta = prep.beta0 + solve_triangular(La.T, u, lower=False, check_finite=False)
+    u = _forward_solve(La, S[:q, q])
+    beta = prep.beta0 + _fused_solve(La, u, transpose=True)
     # Residual quadratic form of the centred responses after the GLS
     # correction: c - b' A^-1 b with A = La La'.
     quad = S[q, q] - math.fsum((u * u).tolist())
@@ -519,6 +603,117 @@ class FitResult:
         }
 
 
+def _expit(u: float) -> float:
+    """Logistic function 1 / (1 + exp(-u)), 0.0 where exp(-u) overflows.
+
+    libm through math, so it gives the bits of scipy.special.expit.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-u))
+    except OverflowError:
+        return 0.0
+
+
+def _logit(x: float) -> float:
+    """Inverse of _expit on (0, 1), with scipy.special.logit's two branches.
+
+    log(x / (1 - x)) loses precision near x = 0.5, so the middle of the
+    interval uses log1p(s) - log1p(-s) with s = 2 (x - 0.5) instead.
+    """
+    if x < 0.3 or x > 0.65:
+        return math.log(x / (1.0 - x))
+    s = 2.0 * (x - 0.5)
+    return math.log1p(s) - math.log1p(-s)
+
+
+def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
+    """Minimize ``func`` from ``x0`` by the Nelder-Mead simplex method.
+
+    A port of the default path of scipy.optimize.minimize(method=
+    "Nelder-Mead") in scipy 1.17: the same initial simplex, coefficients,
+    orderings and stopping test, with no cap on evaluations. It visits the
+    same points and returns the same (x, nit, success); success is False
+    when the iteration count reaches ``maxiter``. ``func`` must not modify
+    its argument.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+
+    x0 = np.asarray(x0, dtype=float).ravel()
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+
+    fsim = np.full((N + 1,), np.inf)
+    for k in range(N + 1):
+        fsim[k] = func(sim[k])
+    # Sorted twice, as scipy does: numpy's argsort need not keep ties in order.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        doshrink = False
+
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            if fxr < fsim[-1]:
+                # Outside contraction.
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                if fxc <= fxr:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+                else:
+                    doshrink = True
+            else:
+                # Inside contraction.
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = func(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return sim[0], iterations, iterations < maxiter
+
+
 def _scan(axis1, axis2, loglik_at):
     """Grid scan; ties broken by the smaller second then first parameter."""
     best = None
@@ -555,9 +750,6 @@ def fit(
         NotSpecialCase: ARMA(1,1) requested on an ineligible grid.
         FitFailed: every grid point failed to evaluate.
     """
-    from scipy.optimize import minimize
-    from scipy.special import expit, logit
-
     _check_choices(criterion, parameterization)
     opts = options or FitOptions()
     grid = data.grid
@@ -606,12 +798,12 @@ def fit(
     margin = 1e-8
 
     def to_box1(u: float) -> float:
-        return lo1 + (opts.rho_cap - lo1) * expit(u)
+        return lo1 + (opts.rho_cap - lo1) * _expit(u)
 
     def from_box1(v: float) -> float:
         width = opts.rho_cap - lo1
         v = min(max(v, lo1 + margin * width), opts.rho_cap - margin * width)
-        return float(logit((v - lo1) / width))
+        return _logit((v - lo1) / width)
 
     if parameterization == "lear":
         log_cap2 = math.log(cap2)
@@ -623,12 +815,12 @@ def fit(
             return math.log(min(max(v, cap2 * margin), cap2))
     else:
         def to_box2(u: float) -> float:
-            return lo2 + (cap2 - lo2) * expit(u)
+            return lo2 + (cap2 - lo2) * _expit(u)
 
         def from_box2(v: float) -> float:
             width = cap2 - lo2
             v = min(max(v, lo2 + margin * width), cap2 - margin * width)
-            return float(logit((v - lo2) / width))
+            return _logit((v - lo2) / width)
 
     def negative(u) -> float:
         a = to_box1(u[0])
@@ -639,18 +831,11 @@ def fit(
             return math.inf
 
     start = np.array([from_box1(scan_a), from_box2(scan_b)])
-    result = minimize(
-        negative,
-        start,
-        method="Nelder-Mead",
-        options={
-            "maxiter": opts.max_iterations,
-            "xatol": 1e-8,
-            "fatol": opts.tolerance,
-        },
+    x, iterations, converged = _nelder_mead(
+        negative, start, opts.max_iterations, xatol=1e-8, fatol=opts.tolerance
     )
-    refined_a = to_box1(result.x[0])
-    refined_b = to_box2(result.x[1])
+    refined_a = to_box1(x[0])
+    refined_b = to_box2(x[1])
     try:
         refined_ll = loglik_at(refined_a, refined_b)
     except (NotPositiveDefinite, SingularFit):
@@ -687,8 +872,8 @@ def fit(
         estimates=estimates,
         beta_hat=beta_hat,
         max_loglik=final_ll,
-        converged=bool(result.success),
-        iterations=int(result.nit),
+        converged=converged,
+        iterations=iterations,
         boundary_flags=frozenset(flags),
         scan_max_loglik=scan_ll,
         n_scan_failures=n_failures,

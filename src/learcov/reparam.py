@@ -33,7 +33,8 @@ from .core import (
     LearParams,
     MeasurementGrid,
     _distinct_patterns,
-    build_grid,
+    _pooled_grid,
+    validated_times,
 )
 from .errors import (
     DegenerateRange,
@@ -119,7 +120,8 @@ def normalize_grid(
     round(t_0 / h), which preserves every within-subject distance (now an
     exact integer count of gaps) while dropping sub-gap offsets that no
     distance depends on. The common gap is recorded on the result's
-    ``spacing`` field.
+    ``spacing`` field. Each distinct time vector is rescaled once, and
+    subjects that share it share the read-only result.
 
     Raises NotSpecialCase when the grid has no common gap.
     """
@@ -127,12 +129,19 @@ def normalize_grid(
     if not report.equally_spaced:
         raise NotSpecialCase("consecutive gaps differ; no common spacing exists")
     h = report.spacing
+    unit: dict[bytes, np.ndarray] = {}
     new_times = []
-    for t in grid.subject_times:
-        anchor = float(np.round(t[0] / h))
-        new_times.append(anchor + np.arange(t.size, dtype=float))
-    normalized = build_grid(new_times)
-    return replace(normalized, spacing=h)
+    for i, t in enumerate(grid.subject_times):
+        key = t.tobytes()
+        if key not in unit:
+            anchor = float(np.round(t[0] / h))
+            # Validated as build_grid would: a huge anchor can swallow the
+            # unit steps.
+            unit[key] = validated_times(
+                anchor + np.arange(t.size, dtype=float), f"subject {i}: times"
+            )
+        new_times.append(unit[key])
+    return replace(_pooled_grid(new_times), spacing=h)
 
 
 def _canonical_range(grid: MeasurementGrid) -> float:

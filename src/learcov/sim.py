@@ -6,11 +6,13 @@ standard normals.
 
 Reproducibility contract: subject i's normals come from a Philox4x64-10
 counter generator keyed by the two 64-bit words (seed, i). Each raw 64-bit
-word w becomes the uniform ((w >> 11) + 0.5) * 2**-53, strictly inside
-(0, 1), which is then mapped through the standard normal inverse CDF. The
-stream therefore depends only on (seed, subject index), never on how many
-subjects exist or in what order they are generated, so identical specs give
-bit-identical datasets on any platform.
+word w becomes the uniform ((w >> 11) + 0.5) * 2**-53 as rounded in double
+precision, except that the one value w >> 11 == 2**53 - 1, which rounds to
+1.0, becomes 1 - 2**-53, the largest double below 1. Every uniform is thus
+strictly inside (0, 1), and the standard normal inverse CDF maps it to a
+finite draw. The stream therefore depends only on (seed, subject index),
+never on how many subjects exist or in what order they are generated, so
+identical specs give bit-identical datasets on any platform.
 
 The inverse CDF is scipy.special.ndtri, imported inside standard_normals:
 the data classes of this module are imported by every command, and only
@@ -51,14 +53,22 @@ def rule_design(rule: str, times: np.ndarray) -> np.ndarray:
     raise InvalidParams(f"design must be one of {DESIGN_RULES} (got {rule!r})")
 
 
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """Raw 64-bit words to uniforms strictly inside (0, 1).
+
+    ((w >> 11) + 0.5) * 2**-53, with the top word, which rounds to 1.0,
+    sent to 1 - 2**-53 instead; see the module reproducibility note.
+    """
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return np.minimum(u, 1.0 - 2.0 ** -53)
+
+
 def standard_normals(seed: int, subject_index: int, n: int) -> np.ndarray:
     """Subject's standard normal draws; see the module reproducibility note."""
     from scipy.special import ndtri
 
     key = np.array([seed, subject_index], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(n)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+    return ndtri(_uniforms(np.random.Philox(key=key).random_raw(n)))
 
 
 @dataclass(frozen=True)

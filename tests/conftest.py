@@ -6,6 +6,7 @@ different way.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -171,3 +172,21 @@ def per_subject_extremes(vectors) -> tuple[float, float]:
         observed_min = min(observed_min, float(np.min(np.diff(t))))
         observed_max = max(observed_max, float(t[-1] - t[0]))
     return observed_min, observed_max
+
+
+def per_subject_normalize_grid(grid, rel_tol=1e-9) -> lc.MeasurementGrid:
+    """``normalize_grid`` with every subject's times rescaled and validated.
+
+    The direct form that the once-per-pattern rescaling replaces: each
+    subject gets its own unit-gap vector, and ``build_grid`` validates them
+    all again.
+    """
+    report = lc.check_special_case(grid, rel_tol)
+    if not report.equally_spaced:
+        raise lc.NotSpecialCase("consecutive gaps differ; no common spacing exists")
+    h = report.spacing
+    new_times = [
+        float(np.round(t[0] / h)) + np.arange(t.size, dtype=float)
+        for t in grid.subject_times
+    ]
+    return dataclasses.replace(lc.build_grid(new_times), spacing=h)

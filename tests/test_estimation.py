@@ -480,6 +480,121 @@ def test_fit_result_to_dict_is_json_friendly():
 
 
 # --------------------------------------------------------------------------
+# numerics ported from scipy, with scipy as the oracle
+
+
+def rosenbrock(x):
+    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+
+def bowl_on_a_half_plane(x):
+    # Infinite wherever x0 + x1 > 1, like a fit point that fails to factor;
+    # the bowl's centre lies there, so the simplex keeps stepping into it.
+    if x[0] + x[1] > 1.0:
+        return math.inf
+    return float((x[0] - 0.8) ** 2 + 3.0 * (x[1] - 0.7) ** 2)
+
+
+def rippled_bowl(x):
+    # Ripples finer than the simplex make contractions fail, so it shrinks.
+    return float(x[0] ** 2 + x[1] ** 2
+                 + 0.3 * math.sin(200.0 * x[0]) * math.cos(150.0 * x[1]))
+
+
+@pytest.mark.parametrize("func, x0, maxiter", [
+    (rosenbrock, [-1.2, 1.0], 400),
+    (bowl_on_a_half_plane, [0.2, 0.3], 400),
+    (rosenbrock, [0.0, 2.0], 400),
+    (rippled_bowl, [0.2, 0.3], 400),
+    (rosenbrock, [-1.2, 1.0], 5),
+], ids=["rosenbrock", "inf-half-plane", "zero-start", "shrinks", "maxiter-5"])
+def test_nelder_mead_takes_scipys_steps(func, x0, maxiter):
+    from scipy.optimize import minimize
+    from learcov.estimation import _nelder_mead
+
+    values = []
+
+    def recorded(x):
+        values.append(func(x))
+        return values[-1]
+
+    want = minimize(func, np.array(x0), method="Nelder-Mead",
+                    options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-10})
+    x, nit, success = _nelder_mead(recorded, np.array(x0), maxiter,
+                                   xatol=1e-8, fatol=1e-10)
+    assert np.array_equal(x, want.x)
+    assert (nit, success) == (want.nit, want.success)
+    assert len(values) == want.nfev
+    assert success == (maxiter == 400)
+    if func is bowl_on_a_half_plane:
+        assert values.count(math.inf) > 10
+
+
+def test_fma_rounds_once():
+    from fractions import Fraction
+    from learcov.estimation import _fma
+
+    rng = np.random.default_rng(8)
+    a, b, c = rng.standard_normal((3, 2000)) * 10.0 ** rng.integers(-20, 21, (3, 2000))
+    for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()):
+        assert _fma(x, y, z) == float(Fraction(x) * Fraction(y) + Fraction(z))
+    # One rounding, where the product rounded first would lose everything.
+    e = 2.0 ** -30
+    assert _fma(1.0 + e, 1.0 - e, -1.0) == -(e * e)
+
+
+def assert_solution_close(got, want):
+    """Equal to 1e-13 relative to the largest entry of the solution."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_substitution_solves_match_scipy(q):
+    from scipy.linalg import cho_solve, solve_triangular
+    from learcov.estimation import _cho_solve, _forward_solve, _fused_solve
+
+    rng = np.random.default_rng(q)
+    for _ in range(200):
+        A = rng.standard_normal((q + 3, q))
+        A = (A.T @ A + 0.1 * np.eye(q)) * 10.0 ** rng.uniform(-3, 3)
+        L = np.linalg.cholesky(A)
+        b = rng.standard_normal(q) * 10.0 ** rng.uniform(-3, 3)
+        assert_solution_close(_forward_solve(L, b),
+                              solve_triangular(L, b, lower=True))
+        assert_solution_close(_fused_solve(L, b, transpose=True),
+                              solve_triangular(L.T, b, lower=False))
+        assert_solution_close(_cho_solve(L, b), cho_solve((L, True), b))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_expit_and_logit_give_scipys_bits():
+    from scipy.special import expit, logit
+    from learcov.estimation import _expit, _logit
+
+    rng = np.random.default_rng(9)
+    u = np.concatenate([
+        rng.uniform(-40.0, 40.0, 500_000), rng.uniform(-800.0, 800.0, 500_000),
+        [800.0, -800.0, 0.0, -0.0, -709.78, -709.79, 745.2],
+    ])
+    got = [_expit(v) for v in u.tolist()]
+    assert np.array_equal(bits(got), bits(expit(u)))
+    assert _expit(-800.0) == 0.0 and _expit(800.0) == 1.0
+
+    x = np.concatenate([
+        rng.random(1_000_000),
+        [0.3, 0.65, 1e-8, 1.0 - 1e-8, 0.5,
+         np.nextafter(0.3, 0.0), np.nextafter(0.65, 1.0)],
+    ])
+    x = x[x > 0.0]
+    got = [_logit(v) for v in x.tolist()]
+    assert np.array_equal(bits(got), bits(logit(x)))
+
+
+# --------------------------------------------------------------------------
 # dual-parameterization comparison
 
 

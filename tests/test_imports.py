@@ -1,7 +1,7 @@
 """Which scipy modules each entry point loads, in fresh interpreters.
 
-Importing scipy takes longer than most commands that never fit take to run,
-so learcov imports it inside the functions that call it. These tests read
+Importing scipy takes longer than most commands take to run, so only
+simulation, which calls scipy.special.ndtri, loads it. These tests read
 ``sys.modules`` after the import or the command, never a wall-clock time.
 """
 import json
@@ -103,7 +103,11 @@ def test_simulate_loads_only_scipy_special(files):
     )
 
 
-def test_fit_loads_the_fitter_and_runs(files):
-    code, loaded = scipy_loaded_by(["fit", "--input", files["csv"]])
-    assert code == 0
-    assert {"scipy.optimize", "scipy.linalg", "scipy.special"} <= loaded
+@pytest.mark.parametrize("args", [
+    ["fit", "--input", "{csv}"],
+    ["fit", "--input", "{csv}", "--param", "arma11", "--criterion", "reml"],
+    ["compare", "--input", "{csv}"],
+], ids=["fit", "fit-arma11-reml", "compare"])
+def test_fit_and_compare_load_no_scipy(files, args):
+    args = [a.format(**files) for a in args]
+    assert scipy_loaded_by(args) == (0, set())

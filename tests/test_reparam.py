@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
-from conftest import per_subject_extremes, per_subject_special_case
+from conftest import (
+    per_subject_extremes,
+    per_subject_normalize_grid,
+    per_subject_special_case,
+)
 
 
 def grid_of(*times_lists):
@@ -122,6 +126,32 @@ def test_normalize_grid_is_identity_on_unit_grids():
     g = lc.normalize_grid(grid_of([1, 2, 3]))
     np.testing.assert_array_equal(g.subject_times[0], [1.0, 2.0, 3.0])
     assert g.spacing == 1.0
+
+
+NORMALIZE_CASES = {
+    **PATTERN_CASES,
+    "sub-gap offsets shuffled": _shuffled(
+        [[2.3, 4.3, 6.3], [10.9, 12.9], [-3.0, -1.0, 1.0, 3.0], [7.1]], 12, 11),
+}
+
+
+@pytest.mark.parametrize("name", list(NORMALIZE_CASES))
+def test_normalize_grid_matches_the_per_subject_rescaling(name):
+    grid = grid_of(*NORMALIZE_CASES[name])
+    try:
+        want = per_subject_normalize_grid(grid)
+    except lc.NotSpecialCase:
+        with pytest.raises(lc.NotSpecialCase):
+            lc.normalize_grid(grid)
+        return
+    got = lc.normalize_grid(grid)
+    assert [t.tobytes() for t in got.subject_times] == [
+        t.tobytes() for t in want.subject_times
+    ]
+    assert all(not t.flags.writeable for t in got.subject_times)
+    assert got.spacing.hex() == want.spacing.hex()
+    assert (got.d_min.hex(), got.d_max.hex()) == (
+        want.d_min.hex(), want.d_max.hex())
 
 
 def test_normalize_grid_rejects_irregular_spacing():

@@ -48,6 +48,22 @@ def test_standard_normals_is_prefix_stable():
     assert np.array_equal(long[:5], short)
 
 
+def test_uniform_map_stays_inside_the_open_interval():
+    from scipy.special import ndtri
+    from learcov.sim import _uniforms
+
+    raw = np.array([0, 2**64 - 1, 2**64 - 2**11, 2**64 - 2**12], dtype=np.uint64)
+    u = _uniforms(raw)
+    # The top word's ((w >> 11) + 0.5) * 2**-53 rounds to 1.0, where the
+    # normal inverse CDF is infinite; it goes to the largest double below 1.
+    naive = ((raw[1:3] >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
+    assert naive.tolist() == [1.0, 1.0]
+    # The next word down already maps below 1 and is left alone.
+    assert u.tolist() == [2.0**-54, 1.0 - 2.0**-53, 1.0 - 2.0**-53,
+                          1.0 - 2.0**-52]
+    assert np.isfinite(ndtri(u)).all()
+
+
 def test_standard_normals_moments_are_plausible():
     z = lc.standard_normals(123, 0, 200_000)
     assert abs(z.mean()) < 0.01
