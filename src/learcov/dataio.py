@@ -165,8 +165,10 @@ def write_long_csv(path, data: RepeatedMeasuresData, subject_ids=None) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["subject", "time", "y"])
         for sid, subject in zip(subject_ids, data.subjects):
-            for t, yv in zip(subject.times, subject.y):
-                writer.writerow([sid, format(t, ".17g"), format(yv, ".17g")])
+            writer.writerows(
+                (sid, format(t, ".17g"), format(yv, ".17g"))
+                for t, yv in zip(subject.times.tolist(), subject.y.tolist())
+            )
 
 
 def _require(mapping: dict, key: str, context: str):

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import ndtri
 
 import learcov as lc
 
@@ -190,3 +191,41 @@ def per_subject_normalize_grid(grid, rel_tol=1e-9) -> lc.MeasurementGrid:
         for t in grid.subject_times
     ]
     return dataclasses.replace(lc.build_grid(new_times), spacing=h)
+
+
+def per_subject_simulate(spec) -> lc.RepeatedMeasuresData:
+    """``simulate`` with one generator and one draw per subject.
+
+    The direct form that the per-template draws replace: numpy's own
+    Philox keyed by (seed, i), the documented uniform map,
+    ``scipy.special.ndtri`` and one ``L @ z`` for each subject in turn.
+    """
+    n_templates = len(spec.times)
+    subject_template = [i % n_templates for i in range(spec.n_subjects)]
+
+    used = sorted(set(subject_template))
+    factors: dict[int, np.ndarray] = {}
+    if isinstance(spec.covariance, lc.LearParams):
+        grid = lc.build_grid([spec.times[k] for k in used])
+        for pos, k in enumerate(used):
+            factors[k] = lc.cholesky_lower(
+                lc.lear_covariance(spec.covariance, grid, pos)
+            )
+    else:
+        for k in used:
+            factors[k] = lc.cholesky_lower(
+                lc.arma11_covariance(spec.covariance, spec.times[k].size)
+            )
+    designs = {k: spec.design_matrix(k) for k in used}
+
+    subjects = []
+    for i, k in enumerate(subject_template):
+        t = spec.times[k]
+        X = designs[k]
+        key = np.array([spec.seed, i], dtype=np.uint64)
+        raw = np.random.Philox(key=key).random_raw(t.size)
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        z = ndtri(np.minimum(u, 1.0 - 2.0 ** -53))
+        y = X @ spec.beta + factors[k] @ z
+        subjects.append(lc.SubjectData(t, y, X))
+    return lc.RepeatedMeasuresData(tuple(subjects))

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -134,6 +135,32 @@ def test_write_long_csv_validates_subject_ids(tmp_path):
     lc.write_long_csv(tmp_path / "out.csv", data, subject_ids=["p", "q", "r"])
     text = (tmp_path / "out.csv").read_text(encoding="utf-8")
     assert text.splitlines()[1].startswith("p,")
+
+
+def row_by_row_csv(path, data, subject_ids):
+    """The writer ``write_long_csv`` replaced: one writerow per numpy value."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["subject", "time", "y"])
+        for sid, subject in zip(subject_ids, data.subjects):
+            for t, yv in zip(subject.times, subject.y):
+                writer.writerow([sid, format(t, ".17g"), format(yv, ".17g")])
+
+
+def test_write_long_csv_bytes_match_the_row_by_row_writer(tmp_path):
+    data = lc.simulate(lc.SimSpec(
+        n_subjects=5,
+        times=(np.array([0.1, 1.0, 2.5e-7]).cumsum(), np.array([1e20, 3e20])),
+        beta=np.array([1.0]),
+        covariance=lc.Arma11Params(1e6, 0.5, 0.7),
+        seed=8,
+    ))
+    ids = ["a,b", 'say "hi"', "two\nlines", "plain", 7]
+    lc.write_long_csv(tmp_path / "new.csv", data, subject_ids=ids)
+    row_by_row_csv(tmp_path / "old.csv", data, [str(s) for s in ids])
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert b'"a,b"' in new and b'"say ""hi"""' in new and b'"two\nlines"' in new
 
 
 # --------------------------------------------------------------------------

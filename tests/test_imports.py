@@ -1,8 +1,10 @@
 """Which scipy modules each entry point loads, in fresh interpreters.
 
-Importing scipy takes longer than most commands take to run, so only
-simulation, which calls scipy.special.ndtri, loads it. These tests read
-``sys.modules`` after the import or the command, never a wall-clock time.
+Importing scipy takes longer than most commands take to run, and no command
+needs it: scipy is a test-only dependency, the oracle the ports are checked
+against. These tests read ``sys.modules`` after the import or the command,
+never a wall-clock time, and run every command once more with scipy
+unimportable.
 """
 import json
 import os
@@ -39,15 +41,20 @@ print(json.dumps({
 """
 
 
-def scipy_loaded_by(args):
-    """(exit code, scipy modules loaded) of ``args`` in a fresh interpreter."""
+def child_env():
+    """This environment with the checkout's ``src`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def scipy_loaded_by(args):
+    """(exit code, scipy modules loaded) of ``args`` in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(args)],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=child_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
@@ -92,15 +99,10 @@ def test_commands_that_never_fit_load_no_scipy(files, args):
     assert scipy_loaded_by(args) == (0, set())
 
 
-def test_simulate_loads_only_scipy_special(files):
-    code, loaded = scipy_loaded_by(
+def test_simulate_loads_no_scipy(files):
+    assert scipy_loaded_by(
         ["simulate", "--spec", files["spec"], "--out", files["out"]]
-    )
-    assert code == 0
-    assert "scipy.special" in loaded
-    assert not any(
-        m.startswith(("scipy.optimize", "scipy.linalg")) for m in loaded
-    )
+    ) == (0, set())
 
 
 @pytest.mark.parametrize("args", [
@@ -111,3 +113,58 @@ def test_simulate_loads_only_scipy_special(files):
 def test_fit_and_compare_load_no_scipy(files, args):
     args = [a.format(**files) for a in args]
     assert scipy_loaded_by(args) == (0, set())
+
+
+REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is blocked", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+CLI_MAIN = """
+import sys
+from learcov.cli import main
+main(args=sys.argv[1:], prog_name="learcov")
+"""
+
+
+def cli_run(args, refuse_scipy, out=None):
+    """(exit code, stdout, bytes of ``out`` if given) of one CLI run."""
+    code = (REFUSE_SCIPY if refuse_scipy else "") + CLI_MAIN
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, env=child_env(), timeout=300,
+    )
+    return proc.returncode, proc.stdout, out and Path(out).read_bytes()
+
+
+def test_the_finder_refuses_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_SCIPY + "import scipy.special"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert "ModuleNotFoundError: scipy is blocked" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--spec", "{spec}", "--out", "{out}"],
+    ["fit", "--input", "{csv}"],
+    ["compare", "--input", "{csv}"],
+    ["check-special-case", "--input", "{csv}"],
+    ["build-matrix", "--times", "1,2,3", "--rho-l", "0.5", "--delta", "1"],
+    ["reparam", "--direction", "lear2arma", "--times", "1,2,3",
+     "--rho-l", "0.6", "--delta", "2"],
+], ids=lambda args: args[0])
+def test_commands_run_without_scipy(files, args):
+    args = [a.format(**files) for a in args]
+    out = files["out"] if args[0] == "simulate" else None
+    blocked = cli_run(args, refuse_scipy=True, out=out)
+    assert blocked[0] == 0
+    assert blocked == cli_run(args, refuse_scipy=False, out=out)

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import learcov as lc
-from conftest import simulated_dataset
+from learcov import sim
+from conftest import per_subject_simulate, simulated_dataset
 
 TIMES = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
 
@@ -49,11 +53,8 @@ def test_standard_normals_is_prefix_stable():
 
 
 def test_uniform_map_stays_inside_the_open_interval():
-    from scipy.special import ndtri
-    from learcov.sim import _uniforms
-
     raw = np.array([0, 2**64 - 1, 2**64 - 2**11, 2**64 - 2**12], dtype=np.uint64)
-    u = _uniforms(raw)
+    u = sim._uniforms(raw)
     # The top word's ((w >> 11) + 0.5) * 2**-53 rounds to 1.0, where the
     # normal inverse CDF is infinite; it goes to the largest double below 1.
     naive = ((raw[1:3] >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
@@ -68,6 +69,103 @@ def test_standard_normals_moments_are_plausible():
     z = lc.standard_normals(123, 0, 200_000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
+
+
+def numpy_philox(seed, index, n):
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(n)
+
+
+@pytest.mark.parametrize("seed, first, count, n", [
+    (0, 0, 50, 9),
+    (2**64 - 1, 0, 300, 13),
+    (123456789, 2**64 - 40, 40, 6),
+    (7, 5, 3, 0),
+    (11, 0, 4, 1),
+    (11, 0, 4, 2),
+    (11, 0, 4, 3),
+    (11, 0, 4, 4),
+])
+def test_philox_words_match_numpy_philox(seed, first, count, n):
+    subjects = np.arange(first, first + count, dtype=np.uint64)
+    got = sim._philox_words(seed, subjects, n)
+    assert got.shape == (count, n) and got.dtype == np.uint64
+    for row, i in zip(got, subjects.tolist()):
+        assert np.array_equal(row, numpy_philox(seed, i, n))
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_ndtri_matches_scipy_on_a_million_draws():
+    words = sim._philox_words(2024, np.arange(2**18, dtype=np.uint64), 4)
+    u = sim._uniforms(words.ravel())
+    assert u.size >= 10**6
+    tails = np.minimum(u, 1.0 - u) <= math.exp(-2.0)
+    assert 0.2 < tails.mean() < 0.35
+    assert_same_bits(sim._ndtri(u), ndtri(u))
+
+
+def around(values, steps):
+    """Each value and its neighbours up to ``steps`` doubles either way."""
+    out = []
+    for v in values:
+        lo = hi = v
+        out.append(v)
+        for _ in range(steps):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+            out += [lo, hi]
+    return np.array(out)
+
+
+def test_ndtri_matches_scipy_at_the_branch_edges():
+    e2 = math.exp(-2.0)
+    u = around([2.0**-54, 1.0 - 2.0**-53, e2, 1.0 - e2, 0.5], 3)
+    u = u[(u > 0.0) & (u < 1.0)]
+    assert 2.0**-54 in u and 1.0 - 2.0**-53 in u
+    assert_same_bits(sim._ndtri(u), ndtri(u))
+
+
+def test_ndtri_matches_scipy_where_the_tail_polynomials_switch():
+    # cephes moves from P1/Q1 to P2/Q2 at x = sqrt(-2 log y) = 8, that is
+    # at y = exp(-32). Take every uniform within 300 lattice steps of an
+    # end of (0, 1), which holds all ~230 that reach P2/Q2, and the doubles
+    # next to exp(-32).
+    k = np.arange(300, dtype=np.uint64)
+    words = np.concatenate([k, np.uint64(2**53 - 1) - k]) << np.uint64(11)
+    for u in (sim._uniforms(words), around([math.exp(-32.0)], 40)):
+        y = np.minimum(u, 1.0 - u)
+        x = np.sqrt(-2.0 * np.log(y))
+        assert (x < 8.0).any() and (x >= 8.0).any()
+        assert_same_bits(sim._ndtri(u), ndtri(u))
+
+
+@pytest.mark.parametrize("seed, index, n", [
+    (42, 0, 5), (0, 2**64 - 1, 9), (2**64 - 1, 2**64 - 1, 3), (5, 3, 0),
+])
+def test_standard_normals_follow_the_documented_contract(seed, index, n):
+    u = ((numpy_philox(seed, index, n) >> np.uint64(11)).astype(float) + 0.5)
+    expected = ndtri(np.minimum(u * 2.0**-53, 1.0 - 2.0**-53))
+    assert_same_bits(lc.standard_normals(seed, index, n), expected)
+
+
+@pytest.mark.parametrize("seed, index", [
+    (1.5, 0), (0, 1.5), (-1, 0), (0, -1), (2**64, 0), (0, 2**64),
+    (True, 0), (0, False), ("7", 0),
+])
+def test_standard_normals_rejects_bad_keys(seed, index):
+    # A float seed used to be truncated to another seed's stream, and an
+    # out-of-range word raised a bare OverflowError.
+    with pytest.raises(lc.InvalidParams):
+        lc.standard_normals(seed, index, 3)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True])
+def test_standard_normals_rejects_bad_counts(n):
+    with pytest.raises(lc.InvalidSize):
+        lc.standard_normals(0, 0, n)
 
 
 # --------------------------------------------------------------------------
@@ -172,6 +270,65 @@ def test_design_matrix_follows_the_rule():
 
 # --------------------------------------------------------------------------
 # simulation output
+
+
+TEMPLATES = {
+    "unit": (TIMES,),
+    "mixed-length": (TIMES, np.array([1.0, 2.0]), np.arange(2.0, 9.0)),
+    "irregular": (np.array([0.0, 0.5, 2.0, 3.7]), np.array([1.0, 1.3, 4.0])),
+    "single-visit": (np.array([3.0]),),
+    "20-point": (1.0 + np.cumsum(np.linspace(0.5, 1.5, 20)),),
+}
+COVARIANCES = {
+    "lear": lc.LearParams(1.3, 0.6, 2.0),
+    "arma": lc.Arma11Params(1.5, 0.5, 0.7),
+    "lear-indefinite": lc.LearParams(1.0, 0.9, 60.0),
+}
+DESIGNS = ("intercept", "intercept-time", "explicit-q3")
+
+
+def outcome(draw, spec):
+    try:
+        return draw(spec)
+    except lc.LearcovError as exc:
+        return type(exc).token
+
+
+def assert_same_dataset(got, expected):
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    assert got.n_subjects == expected.n_subjects
+    for a, b in zip(got.subjects, expected.subjects):
+        for name in ("times", "y", "X"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+@pytest.mark.parametrize("covariance", COVARIANCES)
+@pytest.mark.parametrize("templates", TEMPLATES)
+def test_simulate_matches_the_per_subject_draws(templates, covariance, design):
+    times = TEMPLATES[templates]
+    if design == "explicit-q3":
+        design = tuple(np.column_stack([np.ones(t.size), t, t**2]) for t in times)
+        beta = np.array([1.0, -0.5, 0.25])
+    else:
+        beta = np.array([1.0, -0.5][: 1 + (design == "intercept-time")])
+    for n in (1, 7, 4099, 9000):
+        for seed in (0, 123456789, 2**64 - 1):
+            spec = lc.SimSpec(n, times, beta, COVARIANCES[covariance], seed, design)
+            assert_same_dataset(
+                outcome(lc.simulate, spec), outcome(per_subject_simulate, spec)
+            )
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_simulate_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    spec = spec_of(n_subjects=50, times=TEMPLATES["mixed-length"])
+    whole = lc.simulate(spec)
+    monkeypatch.setattr(sim, "_DRAW_CHUNK", chunk)
+    assert_same_dataset(lc.simulate(spec), whole)
 
 
 def test_simulate_is_deterministic():
