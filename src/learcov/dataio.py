@@ -1,17 +1,24 @@
 """Long-format CSV ingest/emit and the JSON simulation-spec loader.
 
-Long format: one row per measurement, UTF-8, header row required, RFC-4180
-quoting. Default column names are "subject", "time", "y"; extra columns are
-ignored unless explicitly named as design covariates. Subjects keep their
-order of first appearance and rows are sorted by time within subject, so a
-shuffled file ingests to the same dataset.
+Long format: one row per measurement, UTF-8 (a leading byte-order mark is
+skipped), header row required, RFC-4180 quoting. Default column names are
+"subject", "time", "y"; extra columns are ignored unless explicitly named
+as design covariates. Subjects keep their order of first appearance and
+rows are sorted by time within subject, so a shuffled file ingests to the
+same dataset.
+
+A file is parsed one column at a time straight into the dataset's flat
+arrays. Only when that finds a fault are the rows walked one by one, to
+report the first bad row as a row-by-row reader would.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -22,7 +29,7 @@ from .errors import (
     InvalidParams,
     ParseError,
 )
-from .estimation import RepeatedMeasuresData, SubjectData
+from .estimation import RepeatedMeasuresData
 from .sim import DESIGN_RULES, SimSpec, rule_design
 
 __all__ = [
@@ -76,6 +83,9 @@ def read_long_csv(
     sequence of column names uses those columns verbatim (include your own
     constant column if you want one).
 
+    Subjects are ordered by first appearance and rows by time within
+    subject.
+
     Raises:
         ParseError: missing header/columns, short rows, or non-numeric
             values, all reported with their row number (header is row 1).
@@ -83,68 +93,93 @@ def read_long_csv(
         DegenerateGrid: fewer than two measurements in the whole file.
     """
     rule, covariate_cols = _design_columns(design)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    names = [subject_col, time_col, y_col, *covariate_cols]
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty file: a header row is required") from None
-        positions = {}
-        for name in [subject_col, time_col, y_col, *covariate_cols]:
+        for name in names:
             if name not in header:
                 raise ParseError(f"missing required column {name!r} in header")
-            positions[name] = header.index(name)
-        needed = max(positions.values()) + 1
+        positions = [header.index(name) for name in names]
+        records = list(reader)
 
-        order: list[str] = []
-        rows_by_subject: dict[str, list[tuple]] = {}
-        seen: set[tuple[str, float]] = set()
-        n_rows = 0
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < needed:
-                raise ParseError(
-                    f"row {row_num}: expected at least {needed} fields, "
-                    f"got {len(row)}"
-                )
-            sid = row[positions[subject_col]]
-            t = _parse_number(row[positions[time_col]], row_num, time_col)
-            yv = _parse_number(row[positions[y_col]], row_num, y_col)
-            covs = tuple(
-                _parse_number(row[positions[c]], row_num, c)
-                for c in covariate_cols
-            )
-            if (sid, t) in seen:
-                raise DuplicateMeasurement(
-                    f"row {row_num}: duplicate measurement for subject "
-                    f"{sid!r} at time {t!r}"
-                )
-            seen.add((sid, t))
-            if sid not in rows_by_subject:
-                rows_by_subject[sid] = []
-                order.append(sid)
-            rows_by_subject[sid].append((t, yv, covs))
-            n_rows += 1
-
-    if n_rows == 0:
+    rows = [row for row in records if row]
+    if not rows:
         raise ParseError("no data rows after the header")
-    if n_rows == 1:
+    parsed = _parse_columns(rows, positions)
+    if parsed is None:
+        _raise_first_row_error(records, names, positions)
+    values, rank = parsed
+    if len(rows) == 1:
         raise DegenerateGrid(
             "a single measurement defines no distances; need at least two rows"
         )
 
-    subjects = []
-    for sid in order:
-        rows = sorted(rows_by_subject[sid], key=lambda r: r[0])
-        t = np.array([r[0] for r in rows])
-        y = np.array([r[1] for r in rows])
-        if covariate_cols:
-            X = np.array([r[2] for r in rows])
-        else:
-            X = rule_design(rule, t)
-        subjects.append(SubjectData(t, y, X))
-    return RepeatedMeasuresData(tuple(subjects))
+    t = values[0]
+    if covariate_cols:
+        X = np.ascontiguousarray(values[2:].T)
+    else:
+        X = rule_design(rule, t)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+    return RepeatedMeasuresData._from_columns(t, values[1], X, offsets)
+
+
+def _parse_columns(rows, positions):
+    """The rows parsed a column at a time and sorted by subject, then time.
+
+    Returns the numeric columns as one (columns, rows) array and each row's
+    subject rank in order of first appearance, or None when a row is short,
+    holds an unparsable or non-finite number, or repeats a (subject, time)
+    pair.
+    """
+    n = len(rows)
+    if min(map(len, rows)) <= max(positions):
+        return None
+    sids, *cells = [[row[pos] for row in rows] for pos in positions]
+    try:
+        values = np.array([np.fromiter(map(float, c), float, n) for c in cells])
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    rank_of = {sid: r for r, sid in enumerate(dict.fromkeys(sids))}
+    rank = np.fromiter(map(rank_of.__getitem__, sids), np.intp, n)
+    order = np.lexsort((values[0], rank))
+    values, rank = values[:, order], rank[order]
+    t = values[0]
+    if ((t[1:] == t[:-1]) & (rank[1:] == rank[:-1])).any():
+        return None
+    return values, rank
+
+
+def _raise_first_row_error(records, names, positions) -> None:
+    """Raise the error of the first bad row, as a row-by-row read meets it.
+
+    Within a row: a short row, then each named column in ``names`` order,
+    then a repeated (subject, time) pair.
+    """
+    needed = max(positions) + 1
+    seen: set[tuple[str, float]] = set()
+    for row_num, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) < needed:
+            raise ParseError(
+                f"row {row_num}: expected at least {needed} fields, got {len(row)}"
+            )
+        sid = row[positions[0]]
+        t = _parse_number(row[positions[1]], row_num, names[1])
+        for name, pos in zip(names[2:], positions[2:]):
+            _parse_number(row[pos], row_num, name)
+        if (sid, t) in seen:
+            raise DuplicateMeasurement(
+                f"row {row_num}: duplicate measurement for subject "
+                f"{sid!r} at time {t!r}"
+            )
+        seen.add((sid, t))
 
 
 def write_long_csv(path, data: RepeatedMeasuresData, subject_ids=None) -> None:
@@ -152,6 +187,11 @@ def write_long_csv(path, data: RepeatedMeasuresData, subject_ids=None) -> None:
 
     Design matrices are not written; they are reconstructed at ingest time
     via the design rule. Default subject ids are "s1", "s2", ...
+
+    Raises:
+        InvalidParams: ``subject_ids`` does not give one id per subject, or
+            two subjects' ids are equal as strings (reading the file back
+            would merge them).
     """
     if subject_ids is None:
         subject_ids = [f"s{i + 1}" for i in range(data.n_subjects)]
@@ -161,14 +201,21 @@ def write_long_csv(path, data: RepeatedMeasuresData, subject_ids=None) -> None:
             raise InvalidParams(
                 f"got {len(subject_ids)} subject ids for {data.n_subjects} subjects"
             )
+        repeated = [sid for sid, n in Counter(subject_ids).items() if n > 1]
+        if repeated:
+            raise InvalidParams(
+                f"subject id {repeated[0]!r} is given to more than one subject"
+            )
+    ids = np.repeat(np.array(subject_ids, dtype=object), np.diff(data.offsets))
+    spec = repeat(".17g")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["subject", "time", "y"])
-        for sid, subject in zip(subject_ids, data.subjects):
-            writer.writerows(
-                (sid, format(t, ".17g"), format(yv, ".17g"))
-                for t, yv in zip(subject.times.tolist(), subject.y.tolist())
-            )
+        writer.writerows(zip(
+            ids.tolist(),
+            map(format, data.times.tolist(), spec),
+            map(format, data.y.tolist(), spec),
+        ))
 
 
 def _require(mapping: dict, key: str, context: str):

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -125,41 +127,93 @@ class SubjectData:
     def p(self) -> int:
         return self.times.size
 
+    @classmethod
+    def _view(cls, times, y, X) -> "SubjectData":
+        """Subject over already validated read-only arrays, kept uncopied."""
+        s = cls.__new__(cls)
+        for name, arr in (("times", times), ("y", y), ("X", X)):
+            object.__setattr__(s, name, arr)
+        return s
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, eq=False)
 class RepeatedMeasuresData:
     """Independent subjects with a common fixed-effects design width.
 
+    Stored by column: every subject's measurement times, responses and
+    design rows lie end to end in the read-only arrays ``times`` (n_obs,),
+    ``y`` (n_obs,) and ``X`` (n_obs, q), and subject i owns the rows
+    offsets[i]:offsets[i + 1]. ``subjects`` gives the same data as one
+    SubjectData per subject, views of these arrays built on first access.
+
     The stacked design matrix must have full column rank q. Subjects may have
     different numbers of measurements; missing visits simply shorten a
-    subject's vectors (no imputation happens anywhere).
+    subject's rows (no imputation happens anywhere).
     """
 
-    subjects: tuple[SubjectData, ...]
+    times: np.ndarray
+    y: np.ndarray
+    X: np.ndarray
+    offsets: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not self.subjects:
+    def __init__(self, subjects) -> None:
+        subjects = tuple(subjects)
+        if not subjects:
             raise InvalidSize("data needs at least one subject")
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        q = self.subjects[0].X.shape[1]
+        q = subjects[0].X.shape[1]
         if q == 0:
             raise InvalidSize("design matrix needs at least one column")
-        for i, s in enumerate(self.subjects):
+        for i, s in enumerate(subjects):
             if s.X.shape[1] != q:
                 raise InvalidSize(
                     f"subject {i} has {s.X.shape[1]} design columns, expected {q}"
                 )
-        stacked = np.vstack([s.X for s in self.subjects])
-        if np.linalg.matrix_rank(stacked) < q:
+        self._fill(
+            np.concatenate([s.times for s in subjects]),
+            np.concatenate([s.y for s in subjects]),
+            np.vstack([s.X for s in subjects]),
+            np.cumsum([0, *(s.p for s in subjects)]),
+        )
+
+    @classmethod
+    def _from_columns(cls, times, y, X, offsets) -> "RepeatedMeasuresData":
+        """Dataset over flat columns, with no per-subject objects.
+
+        The caller vouches for what SubjectData would check: each subject's
+        times are finite and strictly increasing, y and X are finite floats
+        of matching lengths, and X has at least one column. The arrays are
+        frozen in place, not copied.
+        """
+        data = cls.__new__(cls)
+        data._fill(times, y, X, offsets)
+        return data
+
+    def _fill(self, times, y, X, offsets) -> None:
+        for name, arr in (("times", times), ("y", y), ("X", X), ("offsets", offsets)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if np.linalg.matrix_rank(X) < X.shape[1]:
             raise RankDeficient(
-                f"stacked design matrix has rank below its {q} columns"
+                f"stacked design matrix has rank below its {X.shape[1]} columns"
             )
-        if any(s.p > 1 for s in self.subjects):
-            # SubjectData has validated and frozen the times; share them.
-            g = _pooled_grid([s.times for s in self.subjects])
+        if (np.diff(offsets) > 1).any():
+            # Views of the frozen flat times; the grid copies nothing.
+            g = _pooled_grid([times[a:b] for a, b in self._bounds()])
         else:
             g = None
         object.__setattr__(self, "_grid", g)
+
+    def _bounds(self) -> list[tuple[int, int]]:
+        """(start, stop) of each subject's rows, in subject order."""
+        return list(pairwise(self.offsets.tolist()))
+
+    @cached_property
+    def subjects(self) -> tuple[SubjectData, ...]:
+        """One SubjectData per subject, views of the columns."""
+        return tuple(
+            SubjectData._view(self.times[a:b], self.y[a:b], self.X[a:b])
+            for a, b in self._bounds()
+        )
 
     @property
     def grid(self) -> MeasurementGrid:
@@ -171,26 +225,36 @@ class RepeatedMeasuresData:
 
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
+        return self.offsets.size - 1
 
     @property
     def n_obs(self) -> int:
-        return sum(s.p for s in self.subjects)
+        return int(self.offsets[-1])
 
     @property
     def q(self) -> int:
-        return self.subjects[0].X.shape[1]
+        return self.X.shape[1]
 
     def with_subject_times(self, new_times) -> "RepeatedMeasuresData":
-        """Copy of the data with replaced measurement times, y and X intact."""
+        """Copy of the data with replaced measurement times, y and X intact.
+
+        Each distinct vector object is validated once, however many
+        subjects share it.
+        """
         new_times = tuple(new_times)
         if len(new_times) != self.n_subjects:
             raise InvalidSize("need one time vector per subject")
-        return RepeatedMeasuresData(
-            tuple(
-                SubjectData(t, s.y, s.X)
-                for s, t in zip(self.subjects, new_times)
-            )
+        checked: dict[int, np.ndarray] = {}
+        columns = []
+        for (a, b), t in zip(self._bounds(), new_times):
+            if id(t) not in checked:
+                checked[id(t)] = validated_times(t)
+            t = checked[id(t)]
+            if t.size != b - a:
+                raise InvalidSize(f"y has shape {(b - a,)}, expected {t.shape}")
+            columns.append(t)
+        return RepeatedMeasuresData._from_columns(
+            np.concatenate(columns), self.y, self.X, self.offsets
         )
 
 
@@ -220,29 +284,28 @@ class _Prepared:
     def __init__(self, data: RepeatedMeasuresData):
         q = self.q = data.q
         self.M = data.n_obs
-        Xt = np.vstack([s.X for s in data.subjects]).T
-        y = np.concatenate([s.y for s in data.subjects])
+        Xt = data.X.T
         self.beta0 = _cho_solve(
             _normal_factor(_exact_gram(Xt), "the design is rank deficient"),
-            _exact_gram(Xt, y[None, :])[:, 0],
+            _exact_gram(Xt, data.y[None, :])[:, 0],
         )
 
-        by_times: dict[bytes, list[SubjectData]] = {}
-        for s in data.subjects:
-            by_times.setdefault(s.times.tobytes(), []).append(s)
-        by_length: dict[int, list[list[SubjectData]]] = {}
-        for _, members in sorted(by_times.items()):
-            by_length.setdefault(members[0].p, []).append(members)
+        # Each pattern's subjects by the first row they own.
+        by_pattern: dict[tuple[int, bytes], list[int]] = {}
+        for a, b in data._bounds():
+            by_pattern.setdefault((b - a, data.times[a:b].tobytes()), []).append(a)
+        by_length: dict[int, list[list[int]]] = {}
+        for (p, _), starts in sorted(by_pattern.items()):
+            by_length.setdefault(p, []).append(starts)
 
+        ZY = np.column_stack([data.X, data.y])
         self.groups = []
         for p, patterns in sorted(by_length.items()):
             C = np.empty((len(patterns), p, p, q + 1, q + 1))
-            for n, members in enumerate(patterns):
-                m = len(members)
-                Z = np.empty((m, p, q + 1))
-                for i, s in enumerate(members):
-                    Z[i, :, :q] = s.X
-                    Z[i, :, q] = s.y
+            for n, starts in enumerate(patterns):
+                m = len(starts)
+                # Z[i] = [X_i | y_i] of the pattern's i-th subject.
+                Z = ZY[np.add.outer(starts, np.arange(p))]
                 # Elementwise, so each residual is rounded the same way
                 # wherever its subject sits in the data.
                 for a in range(q):
@@ -250,8 +313,8 @@ class _Prepared:
                 gram = _exact_gram(np.ascontiguousarray(Z.reshape(m, -1).T))
                 C[n] = gram.reshape(p, q + 1, p, q + 1).transpose(0, 2, 1, 3)
             self.groups.append((
-                np.array([members[0].times for members in patterns]),
-                np.array([len(members) for members in patterns]),
+                np.array([data.times[s[0]:s[0] + p] for s in patterns]),
+                np.array([len(starts) for starts in patterns]),
                 C.reshape(len(patterns), p * p, (q + 1) ** 2),
             ))
         if data._grid is not None:
@@ -947,9 +1010,9 @@ def compare_parameterizations(
     lear_fit = fit(data_n, "lear", criterion, options)
     arma_fit = fit(data_n, "arma11", criterion, options)
 
-    sizes = [s.p for s in data_n.subjects]
+    sizes = np.diff(data_n.offsets)
     reference = int(np.argmax(sizes))
-    p_ref = sizes[reference]
+    p_ref = int(sizes[reference])
     cov_lear = lear_covariance(lear_fit.estimates, data_n.grid, reference)
     cov_arma = arma11_covariance(arma_fit.estimates, p_ref)
     max_diff = float(np.max(np.abs(cov_lear - cov_arma)))

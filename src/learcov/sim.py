@@ -12,7 +12,11 @@ precision, except that the one value w >> 11 == 2**53 - 1, which rounds to
 strictly inside (0, 1), and the standard normal inverse CDF maps it to a
 finite draw. The stream therefore depends only on (seed, subject index),
 never on how many subjects exist or in what order they are generated, so
-identical specs give bit-identical datasets on any platform.
+identical specs give bit-identical datasets on the same platform. Across
+platforms the draws also depend on the C library's log (the ndtri tails)
+and y on the BLAS kernel behind the stacked mat-vec, so another libm or
+BLAS build may change last bits; identity has been checked on one host
+only (x86-64, glibc 2.36, numpy 2.4.6 with its bundled OpenBLAS).
 
 The generator and the inverse CDF are written here in numpy, so simulation
 needs no scipy. Philox is counter-based (Salmon et al. 2011), so every
@@ -21,7 +25,8 @@ numpy.random.Philox(key=(seed, i)). The inverse CDF is a port of cephes
 ndtri, bit-equal to scipy.special.ndtri; its tail logarithms come from libm
 (math.log), as in cephes. simulate draws all subjects of a time template in
 batches of _DRAW_CHUNK words and takes y = X beta + L z with one stacked
-mat-vec, which rounds as each subject's L @ z.
+mat-vec, which rounds as each subject's L @ z, writing every subject's
+rows straight into the dataset's flat columns.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ from .core import (
     validated_times,
 )
 from .errors import InvalidGrid, InvalidParams, InvalidSize
-from .estimation import RepeatedMeasuresData, SubjectData
+from .estimation import RepeatedMeasuresData
 
 __all__ = ["SimSpec", "simulate", "standard_normals"]
 
@@ -336,20 +341,28 @@ def simulate(spec: SimSpec) -> RepeatedMeasuresData:
             )
     designs = {k: spec.design_matrix(k) for k in used}
 
+    # Subject i owns rows offsets[i]:offsets[i + 1] of the flat columns.
+    sizes = [spec.times[k].size for k in subject_template]
+    offsets = np.cumsum([0, *sizes])
+    times = np.empty(offsets[-1])
+    y = np.empty(offsets[-1])
+    X = np.empty((offsets[-1], spec.beta.size))
+
     # Draw a template's subjects together, _DRAW_CHUNK words at a time. The
     # stacked mat-vec rounds as the per-subject L @ z does; Z @ L.T would not.
-    responses: dict[int, np.ndarray] = {}
     for k in used:
         p = spec.times[k].size
+        rows = offsets[k:-1:n_templates, None] + np.arange(p)
+        times[rows] = spec.times[k]
+        X[rows] = designs[k]
         mean = designs[k] @ spec.beta
         subjects = np.arange(k, spec.n_subjects, n_templates, dtype=np.uint64)
-        Y = responses[k] = np.empty((subjects.size, p))
         step = max(1, _DRAW_CHUNK // p)
         for lo in range(0, subjects.size, step):
             Z = _normals(spec.seed, subjects[lo:lo + step], p)
-            Y[lo:lo + step] = mean + np.matmul(factors[k], Z[:, :, None])[..., 0]
-
-    return RepeatedMeasuresData(tuple(
-        SubjectData(spec.times[k], responses[k][i // n_templates], designs[k])
-        for i, k in enumerate(subject_template)
-    ))
+            y[rows[lo:lo + step]] = (
+                mean + np.matmul(factors[k], Z[:, :, None])[..., 0]
+            )
+    if not np.isfinite(y).all():
+        raise InvalidSize("y and X must be finite")
+    return RepeatedMeasuresData._from_columns(times, y, X, offsets)

@@ -6,6 +6,7 @@ different way.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 
@@ -14,6 +15,8 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 import learcov as lc
+from learcov import dataio, estimation
+from learcov.sim import rule_design
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -229,3 +232,118 @@ def per_subject_simulate(spec) -> lc.RepeatedMeasuresData:
         y = X @ spec.beta + factors[k] @ z
         subjects.append(lc.SubjectData(t, y, X))
     return lc.RepeatedMeasuresData(tuple(subjects))
+
+
+def per_row_read_long_csv(
+    path, subject_col="subject", time_col="time", y_col="y", design="intercept"
+) -> lc.RepeatedMeasuresData:
+    """``read_long_csv`` as one parse and one check per row, then per subject.
+
+    The direct form that the column-at-a-time read replaces: every row is
+    parsed and checked in file order, so the first bad row raises; then
+    each subject's rows are sorted by time and built into a SubjectData.
+    """
+    rule, covariate_cols = dataio._design_columns(design)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise lc.ParseError("empty file: a header row is required") from None
+        positions = {}
+        for name in [subject_col, time_col, y_col, *covariate_cols]:
+            if name not in header:
+                raise lc.ParseError(f"missing required column {name!r} in header")
+            positions[name] = header.index(name)
+        needed = max(positions.values()) + 1
+
+        order: list[str] = []
+        rows_by_subject: dict[str, list[tuple]] = {}
+        seen: set[tuple[str, float]] = set()
+        n_rows = 0
+        for row_num, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < needed:
+                raise lc.ParseError(
+                    f"row {row_num}: expected at least {needed} fields, "
+                    f"got {len(row)}"
+                )
+            sid = row[positions[subject_col]]
+            t = dataio._parse_number(row[positions[time_col]], row_num, time_col)
+            yv = dataio._parse_number(row[positions[y_col]], row_num, y_col)
+            covs = tuple(
+                dataio._parse_number(row[positions[c]], row_num, c)
+                for c in covariate_cols
+            )
+            if (sid, t) in seen:
+                raise lc.DuplicateMeasurement(
+                    f"row {row_num}: duplicate measurement for subject "
+                    f"{sid!r} at time {t!r}"
+                )
+            seen.add((sid, t))
+            if sid not in rows_by_subject:
+                rows_by_subject[sid] = []
+                order.append(sid)
+            rows_by_subject[sid].append((t, yv, covs))
+            n_rows += 1
+
+    if n_rows == 0:
+        raise lc.ParseError("no data rows after the header")
+    if n_rows == 1:
+        raise lc.DegenerateGrid(
+            "a single measurement defines no distances; need at least two rows"
+        )
+
+    subjects = []
+    for sid in order:
+        rows = sorted(rows_by_subject[sid], key=lambda r: r[0])
+        t = np.array([r[0] for r in rows])
+        y = np.array([r[1] for r in rows])
+        if covariate_cols:
+            X = np.array([r[2] for r in rows])
+        else:
+            X = rule_design(rule, t)
+        subjects.append(lc.SubjectData(t, y, X))
+    return lc.RepeatedMeasuresData(tuple(subjects))
+
+
+def per_subject_with_subject_times(data, new_times) -> lc.RepeatedMeasuresData:
+    """``with_subject_times`` with one validated SubjectData per subject."""
+    new_times = tuple(new_times)
+    if len(new_times) != data.n_subjects:
+        raise lc.InvalidSize("need one time vector per subject")
+    return lc.RepeatedMeasuresData(tuple(
+        lc.SubjectData(t, s.y, s.X) for s, t in zip(data.subjects, new_times)
+    ))
+
+
+def per_subject_prepared_groups(data) -> list[tuple]:
+    """``_Prepared.groups`` with each pattern's Z filled subject by subject."""
+    q = data.q
+    beta0 = estimation._Prepared(data).beta0
+    by_times: dict[bytes, list] = {}
+    for s in data.subjects:
+        by_times.setdefault(s.times.tobytes(), []).append(s)
+    by_length: dict[int, list] = {}
+    for _, members in sorted(by_times.items()):
+        by_length.setdefault(members[0].p, []).append(members)
+    groups = []
+    for p, patterns in sorted(by_length.items()):
+        C = np.empty((len(patterns), p, p, q + 1, q + 1))
+        for n, members in enumerate(patterns):
+            m = len(members)
+            Z = np.empty((m, p, q + 1))
+            for i, s in enumerate(members):
+                Z[i, :, :q] = s.X
+                Z[i, :, q] = s.y
+            for a in range(q):
+                Z[:, :, q] -= Z[:, :, a] * beta0[a]
+            gram = estimation._exact_gram(np.ascontiguousarray(Z.reshape(m, -1).T))
+            C[n] = gram.reshape(p, q + 1, p, q + 1).transpose(0, 2, 1, 3)
+        groups.append((
+            np.array([members[0].times for members in patterns]),
+            np.array([len(members) for members in patterns]),
+            C.reshape(len(patterns), p * p, (q + 1) ** 2),
+        ))
+    return groups

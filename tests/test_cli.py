@@ -203,6 +203,34 @@ def test_simulate_writes_reproducible_csv(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_commands_build_no_per_subject_objects(tmp_path, monkeypatch):
+    built = {"SubjectData": 0, "subjects": 0}
+    post_init = lc.SubjectData.__post_init__
+    subjects = lc.RepeatedMeasuresData.__dict__["subjects"].func
+
+    def counting_post_init(self):
+        built["SubjectData"] += 1
+        post_init(self)
+
+    def counting_subjects(self):
+        built["subjects"] += 1
+        return subjects(self)
+
+    monkeypatch.setattr(lc.SubjectData, "__post_init__", counting_post_init)
+    monkeypatch.setattr(lc.RepeatedMeasuresData, "subjects", property(counting_subjects))
+    spec = spec_file(tmp_path, times=((1.0, 2.0, 3.0, 4.0), (2.0, 3.0)))
+    csv_path = str(tmp_path / "data.csv")
+    payload_of(invoke("simulate", "--spec", spec, "--out", csv_path))
+    for command in ("fit", "compare", "check-special-case"):
+        payload_of(invoke(command, "--input", csv_path))
+    payload_of(invoke("fit", "--input", csv_path, "--param", "arma11"))
+    assert built == {"SubjectData": 0, "subjects": 0}
+    # The counters see what they count.
+    lc.read_long_csv(csv_path).subjects
+    lc.SubjectData([1.0], [0.0], [[1.0]])
+    assert built == {"SubjectData": 1, "subjects": 1}
+
+
 def test_simulate_reports_a_non_numeric_spec_field(tmp_path):
     spec = spec_file(tmp_path, times="abc")
     result = invoke("simulate", "--spec", spec, "--out", str(tmp_path / "a.csv"))

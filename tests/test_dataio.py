@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import learcov as lc
-from conftest import simulated_dataset
+from conftest import per_row_read_long_csv, simulated_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -116,6 +118,89 @@ def test_read_long_csv_skips_blank_lines(tmp_path):
     assert lc.read_long_csv(path).n_obs == 2
 
 
+def test_read_long_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD_CSV.encode("utf-8"))
+    data = lc.read_long_csv(path)
+    plain = lc.read_long_csv(write(tmp_path, GOOD_CSV))
+    for name in ("times", "y", "X", "offsets"):
+        assert getattr(data, name).tobytes() == getattr(plain, name).tobytes()
+
+
+IDS = ["a", "b", "c,d", 'say "hi"', "two\nlines", ""]
+BAD_CELLS = ["x", "", "nan", "inf", "-inf", "1e999", "1,5"]
+TIME_CELLS = st.one_of(
+    st.integers(0, 300).map(str), st.sampled_from(["-0.0", "0.0", "2.5", " 7", "1e1"])
+)
+NUMBER_CELLS = st.floats(-1e3, 1e3).map(repr)
+COLUMNS = ["subject", "time", "y", "dose", "junk"]
+
+
+@st.composite
+def long_csv_rows(draw):
+    """Header and records of a long-format CSV, now and then with a fault:
+    a short row, an unparsable or non-finite cell, a repeated (subject,
+    time) pair, or a blank line, each at a random row."""
+    header = draw(st.permutations(COLUMNS))
+    # Distinct cells; "0", "0.0" and "-0.0" are still the same time.
+    keys = draw(st.lists(st.tuples(st.sampled_from(IDS), TIME_CELLS),
+                         max_size=20, unique=True))
+    rows = []
+    for sid, t in keys:
+        cells = {
+            "subject": sid,
+            "time": t,
+            "y": draw(NUMBER_CELLS),
+            "dose": draw(NUMBER_CELLS),
+            "junk": "j",
+        }
+        rows.append([cells[c] for c in header])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(rows)))
+        kind = draw(st.sampled_from(["short", "bad", "duplicate", "blank"]))
+        if kind == "blank":
+            rows.insert(at, [])
+        elif rows:
+            i = at % len(rows)
+            if kind == "short":
+                rows[i] = rows[i][:draw(st.integers(1, len(COLUMNS) - 1))]
+            elif kind == "bad":
+                column = header.index(draw(st.sampled_from(["time", "y", "dose"])))
+                if column < len(rows[i]):
+                    rows[i][column] = draw(st.sampled_from(BAD_CELLS))
+            else:
+                rows.insert(at, list(rows[i]))
+    return header, rows
+
+
+def read_outcome(read, path, design):
+    try:
+        data = read(path, design=design)
+    except lc.LearcovError as exc:
+        return type(exc), str(exc)
+    return [
+        tuple((a.shape, a.tobytes()) for a in (s.times, s.y, s.X))
+        for s in data.subjects
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    long_csv_rows(),
+    st.sampled_from(["intercept", "intercept-time", ["dose"], ["dose", "y"]]),
+)
+def test_read_long_csv_matches_the_per_row_read(tmp_path_factory, csv_rows, design):
+    header, rows = csv_rows
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert read_outcome(lc.read_long_csv, path, design) == read_outcome(
+        per_row_read_long_csv, path, design
+    )
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     data = simulated_dataset(5, [1.0, 2.0, 4.0], seed=8)
     path = tmp_path / "out.csv"
@@ -132,6 +217,10 @@ def test_write_long_csv_validates_subject_ids(tmp_path):
     data = simulated_dataset(3, [1.0, 2.0], seed=8)
     with pytest.raises(lc.InvalidParams):
         lc.write_long_csv(tmp_path / "out.csv", data, subject_ids=["only-one"])
+    # Repeated ids, or ids equal as strings, would merge subjects on reading.
+    for ids in (["a", "a", "b"], [1, "1", 2]):
+        with pytest.raises(lc.InvalidParams, match="more than one subject"):
+            lc.write_long_csv(tmp_path / "out.csv", data, subject_ids=ids)
     lc.write_long_csv(tmp_path / "out.csv", data, subject_ids=["p", "q", "r"])
     text = (tmp_path / "out.csv").read_text(encoding="utf-8")
     assert text.splitlines()[1].startswith("p,")

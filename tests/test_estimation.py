@@ -5,7 +5,13 @@ import pytest
 from scipy.stats import multivariate_normal
 
 import learcov as lc
-from conftest import simulated_dataset, whitened_profile_parts
+from learcov.estimation import _Prepared
+from conftest import (
+    per_subject_prepared_groups,
+    per_subject_with_subject_times,
+    simulated_dataset,
+    whitened_profile_parts,
+)
 
 
 def subject(times, y, X=None):
@@ -121,6 +127,56 @@ def test_with_subject_times_keeps_responses():
     moved = data.with_subject_times([np.array([1.0, 2.0])])
     np.testing.assert_array_equal(moved.subjects[0].y, [0.5, 0.7])
     np.testing.assert_array_equal(moved.subjects[0].times, [1.0, 2.0])
+
+
+def column_bytes(data):
+    return [(name, getattr(data, name).shape, getattr(data, name).tobytes())
+            for name in ("times", "y", "X", "offsets")]
+
+
+def moved_times_cases(data):
+    normalized = lc.normalize_grid(data.grid).subject_times
+    yield normalized
+    yield [t.tolist() for t in normalized]
+    yield [np.array(t) + 0.25 for t in data.grid.subject_times]
+
+
+def test_with_subject_times_matches_the_per_subject_build():
+    spec = lc.SimSpec(
+        n_subjects=23,
+        times=(np.array([2.0, 4.0, 6.0]), np.array([4.0]), np.array([0.0, 2.0])),
+        beta=np.array([1.0, -0.5]),
+        covariance=lc.LearParams(1.0, 0.5, 2.0),
+        seed=3,
+        design="intercept-time",
+    )
+    data = lc.simulate(spec)
+    for new_times in moved_times_cases(data):
+        got = data.with_subject_times(new_times)
+        want = per_subject_with_subject_times(data, new_times)
+        assert column_bytes(got) == column_bytes(want)
+        assert (got.grid.d_min, got.grid.d_max) == (want.grid.d_min, want.grid.d_max)
+
+
+def test_with_subject_times_names_what_is_wrong():
+    data = lc.RepeatedMeasuresData((
+        subject([1, 2], [0.1, 0.2]), subject([1, 2, 3], [0.3, 0.4, 0.5]),
+        subject([5, 6], [0.6, 0.7]),
+    ))
+    shared = np.array([2.0, 1.0])
+    cases = [
+        [[1.0, 2.0], [1.0, 2.0, 3.0]],
+        [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
+        [shared, [1.0, 2.0, 3.0], shared],
+        [[1.0, 2.0], "abc", [1.0, 2.0]],
+        [[1.0, 2.0], [1.0, 2.0, np.inf], [1.0, 2.0]],
+    ]
+    for new_times in cases:
+        with pytest.raises(lc.LearcovError) as got:
+            data.with_subject_times(new_times)
+        with pytest.raises(lc.LearcovError) as want:
+            per_subject_with_subject_times(data, new_times)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +321,14 @@ def without_rank_check(subjects):
     G^-1 is positive definite."""
     subjects = tuple(subjects)
     data = object.__new__(lc.RepeatedMeasuresData)
-    object.__setattr__(data, "subjects", subjects)
+    columns = {
+        "times": np.concatenate([s.times for s in subjects]),
+        "y": np.concatenate([s.y for s in subjects]),
+        "X": np.vstack([s.X for s in subjects]),
+        "offsets": np.cumsum([0, *(s.p for s in subjects)]),
+    }
+    for name, column in columns.items():
+        object.__setattr__(data, name, column)
     object.__setattr__(data, "_grid", lc.build_grid([s.times for s in subjects]))
     return data
 
@@ -299,6 +362,31 @@ def test_pattern_statistics_fail_where_the_whitened_formula_fails(
         whitened_profile_parts(data, theta, criterion, parameterization)
     with pytest.raises(error):
         lc.profile_estimates(data, theta, criterion, parameterization)
+
+
+@pytest.mark.parametrize("data", [
+    pattern_dataset(UNIT_PATTERNS, 1), pattern_dataset(IRREGULAR_PATTERNS, 2),
+    pattern_dataset(PER_SUBJECT_PATTERNS, 3),
+], ids=["unit-q1", "irregular-q2", "per-subject-q3"])
+def test_prepared_tensors_match_the_per_subject_build(data):
+    got = _Prepared(data).groups
+    want = per_subject_prepared_groups(data)
+    assert len(got) == len(want)
+    for got_arrays, want_arrays in zip(got, want):
+        for a, b in zip(got_arrays, want_arrays):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_subjects_are_views_of_the_columns():
+    data = pattern_dataset(IRREGULAR_PATTERNS, 2)
+    assert data.subjects is data.subjects
+    for (a, b), s in zip(zip(data.offsets[:-1], data.offsets[1:]), data.subjects):
+        for name in ("times", "y", "X"):
+            column = getattr(data, name)
+            assert np.shares_memory(getattr(s, name), column)
+            assert getattr(s, name).tobytes() == column[a:b].tobytes()
+    for column in (data.times, data.y, data.X, data.offsets):
+        assert not column.flags.writeable
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 1365, 4097])

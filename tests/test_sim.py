@@ -331,6 +331,21 @@ def test_simulate_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     assert_same_dataset(lc.simulate(spec), whole)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_simulate_refuses_responses_that_overflow():
+    spec = lc.SimSpec(
+        n_subjects=3,
+        times=(np.array([1.0, 2.0]),),
+        beta=np.array([1e10]),
+        covariance=lc.Arma11Params(1.0, 0.5, 0.5),
+        seed=0,
+        design=(np.full((2, 1), 1e300),),
+    )
+    for draw in (lc.simulate, per_subject_simulate):
+        with pytest.raises(lc.InvalidSize, match="^y and X must be finite$"):
+            draw(spec)
+
+
 def test_simulate_is_deterministic():
     spec = spec_of()
     assert dataset_bytes(lc.simulate(spec)) == dataset_bytes(lc.simulate(spec))
