@@ -276,13 +276,14 @@ class Arma11Params:
 
 
 def _lear_corr(
-    rho_l: float, delta: float, times: np.ndarray, d_min: float, d_max: float
+    rho_l, delta, times: np.ndarray, d_min: float, d_max: float
 ) -> np.ndarray:
-    """Unit-diagonal LEAR correlation matrix from raw values (no validation).
+    """Unit-diagonal LEAR correlation matrices from raw values (no validation).
 
     ``times`` may carry leading batch dimensions: times of shape (..., p)
     give matrices of shape (..., p, p), each entry computed as for one
-    vector alone.
+    vector alone. ``rho_l`` and ``delta`` are numbers, or K-vectors of
+    parameter points that add a leading axis: shape (K, ..., p, p).
     """
     t = np.asarray(times, dtype=float)
     d = np.abs(t[..., :, None] - t[..., None, :])
@@ -290,26 +291,37 @@ def _lear_corr(
     # Diagonal distances are patched to d_min so the exponent stays benign
     # there; the diagonal is overwritten with 1 afterwards.
     d[..., diag, diag] = d_min
+    point = (...,) + (None,) * d.ndim
+    delta = np.asarray(delta, dtype=float)[point]
     if d_max > d_min:
         exponent = d_min + delta * (d - d_min) / (d_max - d_min)
     else:
         # Zero range: every distance equals d_min and delta has no effect.
-        exponent = np.full(d.shape, d_min)
-    if rho_l > 0.0:
-        corr = np.power(rho_l, exponent)
-    else:
-        corr = np.zeros(d.shape)
+        exponent = np.full(np.broadcast_shapes(delta.shape, d.shape), d_min)
+    # Every exponent is at least d_min > 0, so rho_l = 0 gives 0 off the
+    # diagonal. Each point's rho_l is broadcast, not copied, so power reads
+    # its base with stride 0 as for a single number: a contiguous base may
+    # take another SIMD loop, whose last bits can differ.
+    corr = np.power(np.asarray(rho_l, dtype=float)[point], exponent)
     corr[..., diag, diag] = 1.0
     return corr
 
 
-def _arma11_corr(tau: float, rho_a: float, p: int) -> np.ndarray:
-    """Unit-diagonal ARMA(1,1) correlation matrix from raw values."""
-    lag = np.abs(np.arange(p)[:, None] - np.arange(p)[None, :])
+def _arma11_corr(tau, rho_a, p: int) -> np.ndarray:
+    """Unit-diagonal ARMA(1,1) correlation matrix from raw values.
+
+    ``tau`` and ``rho_a`` are numbers, or K-vectors of parameter points
+    giving matrices of shape (K, p, p).
+    """
+    lag = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     np.fill_diagonal(lag, 1)
-    # Integer exponents keep negative rho_a well defined.
-    corr = tau * np.power(float(rho_a), lag - 1)
-    np.fill_diagonal(corr, 1.0)
+    tau = np.asarray(tau, dtype=float)[..., None, None]
+    rho_a = np.asarray(rho_a, dtype=float)[..., None, None]
+    # Integer exponents keep negative rho_a well defined. They are passed as
+    # floats, so no cast buffers (and copies) the broadcast base.
+    corr = tau * np.power(rho_a, (lag - 1).astype(float))
+    diag = np.arange(p)
+    corr[..., diag, diag] = 1.0
     return corr
 
 

@@ -14,11 +14,11 @@ report the first bad row as a row-by-row reader would.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections import Counter
 from dataclasses import asdict, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -206,16 +206,30 @@ def write_long_csv(path, data: RepeatedMeasuresData, subject_ids=None) -> None:
             raise InvalidParams(
                 f"subject id {repeated[0]!r} is given to more than one subject"
             )
-    ids = np.repeat(np.array(subject_ids, dtype=object), np.diff(data.offsets))
-    spec = repeat(".17g")
+    ids = np.repeat(np.array(_csv_fields(subject_ids), dtype=object),
+                    np.diff(data.offsets))
+    rows = map("%s,%.17g,%.17g\n".__mod__,
+               zip(ids.tolist(), data.times.tolist(), data.y.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject", "time", "y"])
-        writer.writerows(zip(
-            ids.tolist(),
-            map(format, data.times.tolist(), spec),
-            map(format, data.y.tolist(), spec),
-        ))
+        fh.write("subject,time,y\n" + "".join(rows))
+
+
+def _csv_fields(values: list[str]) -> list[str]:
+    """Each value as csv.writer writes it as the first of several fields.
+
+    Quoting follows the writer's dialect. Each value is written with an
+    empty second field, which is then cut off: alone in its row, an empty
+    value would be written as "".
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    spans = []
+    for value in values:
+        start = buf.tell()
+        writer.writerow((value, ""))
+        spans.append((start, buf.tell() - 2))  # without the trailing ",\n"
+    text = buf.getvalue()
+    return [text[a:b] for a, b in spans]
 
 
 def _require(mapping: dict, key: str, context: str):

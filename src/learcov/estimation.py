@@ -22,13 +22,15 @@ matrix G, so with Z_i = [X_i | y_i] their whole contribution is
     sum_i Z_i' G^-1 Z_i = sum_jk (G^-1)_jk C_jk,   C = sum_i Z_i (x) Z_i
 
 (the pattern grouping of Jennrich and Schluchter, 1986). The per-pattern
-tensor C is built once per dataset, each entry an exactly rounded sum
-(math.fsum) of per-subject products. One evaluation factors one G per
-pattern, batched over the patterns of equal length, so its cost grows with
-the number of distinct time patterns, not with the number of subjects; with
-per-subject times every subject is its own pattern. Pattern terms and log
-determinants are again summed exactly across patterns, so results are
-bit-identical under any reordering of the subjects. The responses are
+tensor C is built once per dataset, each entry an exactly rounded sum of
+per-subject products: the value math.fsum gives, computed by exponent bins
+(_exact_row_sums). One evaluation factors one G per pattern, batched over
+the patterns of equal length, so its cost grows with the number of distinct
+time patterns, not with the number of subjects; with per-subject times
+every subject is its own pattern. The grid scan evaluates all its points
+as one batch. Pattern terms and log determinants are again summed exactly
+(math.fsum) across patterns, so results are bit-identical under any
+reordering of the subjects. The responses are
 centred on an identity-weight least-squares fit beta0 before C is built: the
 residual quadratic form is then a difference of small numbers rather than
 of two large ones, which keeps it accurate near a perfect fit.
@@ -324,9 +326,19 @@ class _Prepared:
             self.d_min = self.d_max = 1.0
 
 
-# Products summed per math.fsum batch; bounds the temporaries of
+# Products summed per _exact_row_sums call; bounds the temporaries of
 # _exact_gram whatever the number of subjects.
-_SUM_CHUNK = 1 << 12
+_SUM_CHUNK = 1 << 14
+# Rows whose products all have binary exponents (np.frexp) within +-960 are
+# summed by exponent bins: the bins' scaled pieces then stay normal and
+# finite. Others, subnormal or near overflow, go to math.fsum.
+_BIN_RANGE = 960
+
+
+def _overflow() -> InvalidSize:
+    return InvalidSize(
+        "cross products of y and X overflow float64; rescale the data"
+    )
 
 
 def _exact_gram(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -334,28 +346,96 @@ def _exact_gram(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
 
     A and B hold one variable per row and one observation per column.
     Without B the result is A @ A.T, and only its upper triangle is summed.
+    Raises InvalidSize when a product or a sum overflows.
     """
     symmetric = B is None
     if symmetric:
         B = A
     m = A.shape[1]
-    if m <= 2:
-        # One product, or one rounded sum of two: exactly rounded already.
-        return (A[:, None, :] * B[None, :, :]).sum(axis=-1)
-    if symmetric:
-        r, c = np.triu_indices(A.shape[0])
-    else:
-        r, c = (idx.ravel() for idx in np.indices((A.shape[0], B.shape[0])))
-    sums = np.empty(r.size)
-    step = max(1, _SUM_CHUNK // m)
-    for lo in range(0, r.size, step):
-        products = A[r[lo:lo + step]] * B[c[lo:lo + step]]
-        sums[lo:lo + step] = [math.fsum(row) for row in products.tolist()]
+    # Products that overflow are refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m <= 2:
+            # One product, or one rounded sum of two: exactly rounded already.
+            out = (A[:, None, :] * B[None, :, :]).sum(axis=-1)
+            if not np.isfinite(out).all():
+                raise _overflow()
+            return out
+        if symmetric:
+            r, c = np.triu_indices(A.shape[0])
+        else:
+            r, c = (idx.ravel() for idx in np.indices((A.shape[0], B.shape[0])))
+        sums = np.empty(r.size)
+        step = max(1, _SUM_CHUNK // m)
+        for lo in range(0, r.size, step):
+            sums[lo:lo + step] = _exact_row_sums(A[r[lo:lo + step]] * B[c[lo:lo + step]])
     out = np.empty((A.shape[0], B.shape[0]))
     out[r, c] = sums
     if symmetric:
         out[c, r] = sums
     return out
+
+
+def _exact_row_sums(products: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-d array, bit for bit.
+
+    Each product is x = v * 2**(e - 53) with (x / 2**e, e) = np.frexp(x), so
+    v is an integer below 2**53 in magnitude. Split into 27-bit halves,
+    v = hi * 2**27 + lo (hi = floor(v / 2**27), 0 <= lo < 2**27), and sum
+    each half over the products of a row that share an exponent e: the bin
+    sums are integers below 2**53, so float addition keeps them exact while
+    a row has fewer than 2**26 products. Scaled back by their exponents, the
+    bins are at most 2 * span exact floats whose sum is the row's exact sum,
+    and math.fsum rounds that exact sum once, as it rounds the products.
+
+    Rows with an exponent beyond +-_BIN_RANGE, rows of 2**26 products or
+    more, and rows that sum to zero (math.fsum decides the sign of zero) are
+    passed to math.fsum directly. Raises InvalidSize when a product is not
+    finite or a sum overflows.
+    """
+    rows, m = products.shape
+    if not np.isfinite(products).all():
+        raise _overflow()
+    if m >= 1 << 26:
+        return np.array([_fsum(row) for row in products])
+    mant, e = np.frexp(products)
+    # Zeros have e = 0 and add nothing, so the range always holds 0.
+    e_lo, e_hi = int(e.min()), int(e.max())
+    if e_lo < -_BIN_RANGE or e_hi > _BIN_RANGE:
+        binned = (np.abs(e) <= _BIN_RANGE).all(axis=1)
+        sums = np.empty(rows)
+        if binned.any():
+            sums[binned] = _exact_row_sums(products[binned])
+        for i in np.flatnonzero(~binned).tolist():
+            sums[i] = _fsum(products[i])
+        return sums
+    span = e_hi - e_lo + 1
+    bins = (e - e_lo).astype(np.intp)
+    if rows > 1:
+        bins += np.arange(0, rows * span, span)[:, None]
+    # hi and lo of v, as exact floats: scaling by powers of two and taking
+    # the integer part round nothing.
+    scaled = mant * 2.0 ** 26
+    hi = np.floor(scaled)
+    lo = (scaled - hi) * 2.0 ** 27
+    shift = np.arange(e_lo, e_hi + 1)
+    pieces = np.concatenate([
+        np.ldexp(np.bincount(bins.ravel(), hi.ravel(), rows * span)
+                 .reshape(rows, span), shift - 26),
+        np.ldexp(np.bincount(bins.ravel(), lo.ravel(), rows * span)
+                 .reshape(rows, span), shift - 53),
+    ], axis=1)
+    sums = np.array([math.fsum(row) for row in pieces.tolist()])
+    for i in np.flatnonzero(sums == 0.0).tolist():
+        sums[i] = _fsum(products[i])
+    return sums
+
+
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a 1-d array, InvalidSize on intermediate overflow."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        raise _overflow() from None
 
 
 def _normal_factor(A: np.ndarray, what: str) -> np.ndarray:
@@ -453,73 +533,148 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _profile_parts(prep: _Prepared, corr_builder, criterion: str):
-    """Profiled log-likelihood plus the profiled beta_hat and sigma2_hat."""
+# Correlation-matrix entries per stacked evaluation: bounds the temporaries
+# of _profile_points on data with many time patterns.
+_STACK_CHUNK = 1 << 17
+
+
+def _profile_points(
+    prep: _Prepared, parameterization: str, criterion: str, a, b,
+    estimates: bool = False,
+) -> list:
+    """Profiled log-likelihood at each parameter point (a[k], b[k]), in order.
+
+    Returns one entry per point: its log-likelihood, or with ``estimates``
+    the tuple (loglik, beta_hat, sigma2_hat), or the NotPositiveDefinite or
+    SingularFit that the point fails with. RankDeficient and InvalidSize are
+    raised at the first point, in order, that meets them.
+
+    The correlation matrices of a chunk of points are built, factored and
+    inverted as one stack per pattern length; each slice rounds as it would
+    alone. The exactly rounded sums and the q x q solves run point by point.
+    """
     q, M = prep.q, prep.M
     if criterion == "reml" and M <= q:
         raise InvalidSize(
             f"REML needs more observations ({M}) than design columns ({q})"
         )
-    terms = []
-    logdets = []
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    per_point = sum(times.size * times.shape[1] for times, _, _ in prep.groups)
+    step = max(1, _STACK_CHUNK // per_point)
+    results = []
+    for lo in range(0, a.size, step):
+        results.extend(_profile_chunk(
+            prep, parameterization, criterion, a[lo:lo + step], b[lo:lo + step],
+            estimates,
+        ))
+    return results
+
+
+def _profile_chunk(prep, parameterization, criterion, a, b, estimates) -> list:
+    """_profile_points for one chunk of points."""
+    q, M = prep.q, prep.M
+    K = a.size
+    failed: dict[int, NotPositiveDefinite] = {}
+    stacks = []
     for times, counts, C in prep.groups:
         P, p = times.shape
+        if parameterization == "lear":
+            G = _lear_corr(a, b, times, prep.d_min, prep.d_max)  # (K, P, p, p)
+        else:
+            G = _arma11_corr(a, b, p)  # (K, p, p), shared by the P patterns
         try:
-            # (P, p, p), or one (p, p) shared by every pattern of the group.
-            L = np.linalg.cholesky(corr_builder(times))
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(
-                f"correlation matrix for a {p}-measurement pattern is not "
-                f"positive definite"
-            ) from exc
-        diag = np.broadcast_to(np.diagonal(L, axis1=-2, axis2=-1), (P, p))
-        logs = list(map(math.log, diag.ravel().tolist()))
-        logdets.extend(
-            m * (2.0 * math.fsum(logs[n * p:(n + 1) * p]))
-            for n, m in enumerate(counts.tolist())
-        )
-        L_inv = np.linalg.inv(L)
-        G_inv = np.broadcast_to(np.swapaxes(L_inv, -1, -2) @ L_inv, (P, p, p))
-        terms.append((G_inv.reshape(P, 1, p * p) @ C)[:, 0])
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            L = None
+            # Find the failing points; each keeps the error of its first
+            # failing pattern length, as when evaluated alone.
+            for k in range(K):
+                if k in failed:
+                    continue
+                try:
+                    np.linalg.cholesky(G[k])
+                except np.linalg.LinAlgError:
+                    failed[k] = NotPositiveDefinite(
+                        f"correlation matrix for a {p}-measurement pattern is "
+                        f"not positive definite"
+                    )
+        stacks.append((G, L))
+    alive = [k for k in range(K) if k not in failed]
+    if not alive:
+        return [failed[k] for k in range(K)]
 
-    # Exactly rounded sums across patterns: results do not depend on the
-    # order subjects were supplied in.
-    S = np.array(
-        [math.fsum(col) for col in np.concatenate(terms).T.tolist()]
-    ).reshape(q + 1, q + 1)
-    La = _normal_factor(
-        S[:q, :q], "the design is rank deficient under this correlation"
-    )
-    u = _forward_solve(La, S[:q, q])
-    beta = prep.beta0 + _fused_solve(La, u, transpose=True)
-    # Residual quadratic form of the centred responses after the GLS
-    # correction: c - b' A^-1 b with A = La La'.
-    quad = S[q, q] - math.fsum((u * u).tolist())
-    sum_logdet = math.fsum(logdets)
+    terms = []
+    logdets: list[list[float]] = [[] for _ in alive]
+    for (times, counts, C), (G, L) in zip(prep.groups, stacks):
+        P, p = times.shape
+        if L is None:
+            L = np.linalg.cholesky(G[alive])
+        elif failed:
+            L = L[alive]
+        # (points, P, p, p), or (points, p, p) shared by the P patterns.
+        shared = L.ndim == 3
+        diag = np.diagonal(L, axis1=-2, axis2=-1)
+        for point, rows in zip(logdets, diag.tolist()):
+            for m, row in zip(counts.tolist(), [rows] * P if shared else rows):
+                point.append(m * (2.0 * math.fsum(map(math.log, row))))
+        L_inv = np.linalg.inv(L)
+        G_inv = np.swapaxes(L_inv, -1, -2) @ L_inv
+        # A shared G^-1 is broadcast over the patterns by matmul itself. A
+        # term that overflows is refused below, point by point.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms.append((G_inv.reshape(len(alive), -1, 1, p * p) @ C)[:, :, 0])
+    # (points, (q+1)^2 sums, patterns)
+    T = np.concatenate(terms, axis=1).transpose(0, 2, 1)
+    finite = np.isfinite(T).all(axis=(1, 2)).tolist()
+    columns = iter(zip(T.tolist(), finite, logdets))
 
     denom = M if criterion == "ml" else M - q
-    sigma2 = quad / denom
-    if sigma2 <= 0.0:
-        raise SingularFit("residual quadratic form is zero; sigma2_hat = 0")
-    if criterion == "ml":
-        loglik = -0.5 * (M * math.log(2.0 * math.pi * sigma2) + sum_logdet + M)
-    else:
-        adjustment = 2.0 * math.fsum(map(math.log, np.diag(La))) - q * math.log(sigma2)
-        loglik = -0.5 * (
-            M * math.log(2.0 * math.pi * sigma2)
-            + sum_logdet
-            + (M - q)
-            + adjustment
+    results = []
+    for k in range(K):
+        if k in failed:
+            results.append(failed[k])
+            continue
+        cols, ok, point_logdets = next(columns)
+        # Exactly rounded sums across patterns: results do not depend on
+        # the order subjects were supplied in.
+        if not ok:
+            raise _overflow()
+        try:
+            S = np.array([math.fsum(col) for col in cols]).reshape(q + 1, q + 1)
+        except OverflowError:
+            raise _overflow() from None
+        La = _normal_factor(
+            S[:q, :q], "the design is rank deficient under this correlation"
         )
-    return loglik, beta, sigma2
-
-
-def _corr_builder(parameterization: str, a: float, b: float, prep: _Prepared):
-    """Correlation matrices for stacked pattern times of shape (P, p)."""
-    if parameterization == "lear":
-        d_min, d_max = prep.d_min, prep.d_max
-        return lambda times: _lear_corr(a, b, times, d_min, d_max)
-    return lambda times: _arma11_corr(a, b, times.shape[-1])
+        u = _forward_solve(La, S[:q, q])
+        # Residual quadratic form of the centred responses after the GLS
+        # correction: c - b' A^-1 b with A = La La'.
+        quad = S[q, q] - math.fsum((u * u).tolist())
+        sum_logdet = math.fsum(point_logdets)
+        sigma2 = quad / denom
+        if sigma2 <= 0.0:
+            results.append(
+                SingularFit("residual quadratic form is zero; sigma2_hat = 0")
+            )
+            continue
+        if criterion == "ml":
+            loglik = -0.5 * (M * math.log(2.0 * math.pi * sigma2) + sum_logdet + M)
+        else:
+            adjustment = (2.0 * math.fsum(map(math.log, np.diag(La)))
+                          - q * math.log(sigma2))
+            loglik = -0.5 * (
+                M * math.log(2.0 * math.pi * sigma2)
+                + sum_logdet
+                + (M - q)
+                + adjustment
+            )
+        if estimates:
+            beta = prep.beta0 + _fused_solve(La, u, transpose=True)
+            results.append((loglik, beta, sigma2))
+        else:
+            results.append(loglik)
+    return results
 
 
 def _check_choices(criterion: str, parameterization: str) -> None:
@@ -568,11 +723,12 @@ def profile_estimates(
         violations = validate_arma11_values(1.0, a, b)
     if violations:
         raise InvalidParams("; ".join(violations))
-    prep = _Prepared(data)
-    loglik, beta, sigma2 = _profile_parts(
-        prep, _corr_builder(parameterization, a, b, prep), criterion
-    )
-    return ProfileEstimates(loglik, beta, sigma2)
+    result = _profile_points(
+        _Prepared(data), parameterization, criterion, [a], [b], estimates=True
+    )[0]
+    if isinstance(result, Exception):
+        raise result
+    return ProfileEstimates(*result)
 
 
 def profile_loglik(
@@ -777,23 +933,6 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
     return sim[0], iterations, iterations < maxiter
 
 
-def _scan(axis1, axis2, loglik_at):
-    """Grid scan; ties broken by the smaller second then first parameter."""
-    best = None
-    failures = 0
-    for a in axis1:
-        for b in axis2:
-            try:
-                ll = loglik_at(float(a), float(b))
-            except (NotPositiveDefinite, SingularFit):
-                failures += 1
-                continue
-            key = (ll, -float(b), -float(a))
-            if best is None or key > best:
-                best = key
-    return best, failures
-
-
 def fit(
     data: RepeatedMeasuresData,
     parameterization: str = "lear",
@@ -834,9 +973,9 @@ def fit(
     prep = _Prepared(data)
 
     def loglik_at(a: float, b: float) -> float:
-        return _profile_parts(
-            prep, _corr_builder(parameterization, a, b, prep), criterion
-        )[0]
+        """Profiled log-likelihood, -inf where the point fails."""
+        ll = _profile_points(prep, parameterization, criterion, [a], [b])[0]
+        return -math.inf if isinstance(ll, Exception) else ll
 
     widen = opts.allow_negative and parameterization == "arma11"
     lo1 = -opts.rho_cap if widen else 0.0
@@ -847,7 +986,19 @@ def fit(
     axis1 = np.linspace(lo1, opts.rho_cap, opts.grid_points)
     axis2 = np.linspace(lo2, cap2, opts.grid_points)
 
-    best, n_failures = _scan(axis1, axis2, loglik_at)
+    # The whole scan in one evaluation, first parameter outermost; ties are
+    # broken by the smaller second then first parameter.
+    grid_a, grid_b = (
+        v.ravel().tolist() for v in np.meshgrid(axis1, axis2, indexing="ij")
+    )
+    best = None
+    n_failures = 0
+    for a, b, ll in zip(grid_a, grid_b, _profile_points(
+            prep, parameterization, criterion, grid_a, grid_b)):
+        if isinstance(ll, Exception):
+            n_failures += 1
+        elif best is None or (ll, -b, -a) > best:
+            best = (ll, -b, -a)
     if best is None:
         raise FitFailed(
             f"all {opts.grid_points ** 2} grid points failed "
@@ -886,12 +1037,7 @@ def fit(
             return _logit((v - lo2) / width)
 
     def negative(u) -> float:
-        a = to_box1(u[0])
-        b = to_box2(u[1])
-        try:
-            return -loglik_at(a, b)
-        except (NotPositiveDefinite, SingularFit):
-            return math.inf
+        return -loglik_at(to_box1(u[0]), to_box2(u[1]))
 
     start = np.array([from_box1(scan_a), from_box2(scan_b)])
     x, iterations, converged = _nelder_mead(
@@ -899,19 +1045,19 @@ def fit(
     )
     refined_a = to_box1(x[0])
     refined_b = to_box2(x[1])
-    try:
-        refined_ll = loglik_at(refined_a, refined_b)
-    except (NotPositiveDefinite, SingularFit):
-        refined_ll = -math.inf
+    refined_ll = loglik_at(refined_a, refined_b)
 
     # The refinement never wins with a worse value than the scan floor.
     if refined_ll >= scan_ll:
         final_a, final_b = refined_a, refined_b
     else:
         final_a, final_b = scan_a, scan_b
-    final_ll, beta_hat, sigma2_hat = _profile_parts(
-        prep, _corr_builder(parameterization, final_a, final_b, prep), criterion
-    )
+    final = _profile_points(
+        prep, parameterization, criterion, [final_a], [final_b], estimates=True
+    )[0]
+    if isinstance(final, Exception):
+        raise final
+    final_ll, beta_hat, sigma2_hat = final
 
     flags = set()
     tol1 = opts.boundary_tol * (opts.rho_cap - lo1)

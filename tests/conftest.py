@@ -318,10 +318,23 @@ def per_subject_with_subject_times(data, new_times) -> lc.RepeatedMeasuresData:
     ))
 
 
+def fsum_gram(A, B=None) -> np.ndarray:
+    """A @ B.T (A @ A.T without B) with one math.fsum per entry."""
+    B = A if B is None else B
+    return np.array([[math.fsum((a * b).tolist()) for b in B] for a in A])
+
+
 def per_subject_prepared_groups(data) -> list[tuple]:
-    """``_Prepared.groups`` with each pattern's Z filled subject by subject."""
+    """``_Prepared.groups`` with each pattern's Z filled subject by subject.
+
+    beta0 and every tensor entry are summed by one math.fsum per entry, the
+    path the exponent-bin sums replace; the q x q solve is the likelihood's.
+    """
     q = data.q
-    beta0 = estimation._Prepared(data).beta0
+    Xt = data.X.T
+    beta0 = estimation._cho_solve(
+        np.linalg.cholesky(fsum_gram(Xt)), fsum_gram(Xt, data.y[None, :])[:, 0]
+    )
     by_times: dict[bytes, list] = {}
     for s in data.subjects:
         by_times.setdefault(s.times.tobytes(), []).append(s)
@@ -339,7 +352,7 @@ def per_subject_prepared_groups(data) -> list[tuple]:
                 Z[i, :, q] = s.y
             for a in range(q):
                 Z[:, :, q] -= Z[:, :, a] * beta0[a]
-            gram = estimation._exact_gram(np.ascontiguousarray(Z.reshape(m, -1).T))
+            gram = fsum_gram(Z.reshape(m, -1).T)
             C[n] = gram.reshape(p, q + 1, p, q + 1).transpose(0, 2, 1, 3)
         groups.append((
             np.array([members[0].times for members in patterns]),
@@ -347,3 +360,106 @@ def per_subject_prepared_groups(data) -> list[tuple]:
             C.reshape(len(patterns), p * p, (q + 1) ** 2),
         ))
     return groups
+
+
+def _per_point_lear_corr(rho_l, delta, times, d_min, d_max):
+    t = np.asarray(times, dtype=float)
+    d = np.abs(t[..., :, None] - t[..., None, :])
+    diag = np.arange(t.shape[-1])
+    d[..., diag, diag] = d_min
+    if d_max > d_min:
+        exponent = d_min + delta * (d - d_min) / (d_max - d_min)
+    else:
+        exponent = np.full(d.shape, d_min)
+    corr = np.power(rho_l, exponent) if rho_l > 0.0 else np.zeros(d.shape)
+    corr[..., diag, diag] = 1.0
+    return corr
+
+
+def _per_point_arma11_corr(tau, rho_a, p):
+    lag = np.abs(np.arange(p)[:, None] - np.arange(p)[None, :])
+    np.fill_diagonal(lag, 1)
+    corr = tau * np.power(float(rho_a), lag - 1)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+def per_point_profile(prep, parameterization, criterion, a, b):
+    """(loglik, beta_hat, sigma2_hat) at one point, factoring point by point.
+
+    The evaluation the stacked one replaces: one correlation stack per
+    pattern length for this point alone, and the exactly rounded sums and
+    q x q solves after it. Raises what the point fails with.
+    """
+    q, M = prep.q, prep.M
+    if criterion == "reml" and M <= q:
+        raise lc.InvalidSize("REML needs more observations than design columns")
+    terms, logdets = [], []
+    for times, counts, C in prep.groups:
+        P, p = times.shape
+        if parameterization == "lear":
+            G = _per_point_lear_corr(a, b, times, prep.d_min, prep.d_max)
+        else:
+            G = _per_point_arma11_corr(a, b, p)
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError as exc:
+            raise lc.NotPositiveDefinite(
+                f"correlation matrix for a {p}-measurement pattern is not "
+                f"positive definite"
+            ) from exc
+        diag = np.broadcast_to(np.diagonal(L, axis1=-2, axis2=-1), (P, p))
+        logs = list(map(math.log, diag.ravel().tolist()))
+        logdets.extend(
+            m * (2.0 * math.fsum(logs[n * p:(n + 1) * p]))
+            for n, m in enumerate(counts.tolist())
+        )
+        L_inv = np.linalg.inv(L)
+        G_inv = np.broadcast_to(np.swapaxes(L_inv, -1, -2) @ L_inv, (P, p, p))
+        terms.append((G_inv.reshape(P, 1, p * p) @ C)[:, 0])
+    S = np.array(
+        [math.fsum(col) for col in np.concatenate(terms).T.tolist()]
+    ).reshape(q + 1, q + 1)
+    La = estimation._normal_factor(S[:q, :q], "rank deficient")
+    u = estimation._forward_solve(La, S[:q, q])
+    beta = prep.beta0 + estimation._fused_solve(La, u, transpose=True)
+    quad = S[q, q] - math.fsum((u * u).tolist())
+    sum_logdet = math.fsum(logdets)
+    sigma2 = quad / (M if criterion == "ml" else M - q)
+    if sigma2 <= 0.0:
+        raise lc.SingularFit("residual quadratic form is zero; sigma2_hat = 0")
+    if criterion == "ml":
+        loglik = -0.5 * (M * math.log(2.0 * math.pi * sigma2) + sum_logdet + M)
+    else:
+        adjustment = 2.0 * math.fsum(map(math.log, np.diag(La))) - q * math.log(sigma2)
+        loglik = -0.5 * (
+            M * math.log(2.0 * math.pi * sigma2) + sum_logdet + (M - q) + adjustment
+        )
+    return loglik, beta, sigma2
+
+
+def per_point_scan(prep, parameterization, criterion, points) -> list:
+    """``per_point_profile`` at each point in turn: its log-likelihood, or
+    the NotPositiveDefinite or SingularFit it fails with. Other errors
+    propagate from the first point that raises them."""
+    out = []
+    for a, b in points:
+        try:
+            out.append(per_point_profile(prep, parameterization, criterion, a, b)[0])
+        except (lc.NotPositiveDefinite, lc.SingularFit) as exc:
+            out.append(exc)
+    return out
+
+
+def csv_writer_write_long_csv(path, data, subject_ids) -> None:
+    """``write_long_csv`` through csv.writer, one row per measurement."""
+    ids = np.repeat(np.array([str(s) for s in subject_ids], dtype=object),
+                    np.diff(data.offsets))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["subject", "time", "y"])
+        writer.writerows(zip(
+            ids.tolist(),
+            (format(v, ".17g") for v in data.times.tolist()),
+            (format(v, ".17g") for v in data.y.tolist()),
+        ))

@@ -295,6 +295,26 @@ def test_fit_errors_map_to_exit_codes(tmp_path):
     assert dup_result.stdout.strip() == "E_DUPLICATE_MEASUREMENT"
 
 
+@pytest.mark.parametrize("scale", [1e160, 1.5e154])
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_overflowing_cross_products_map_to_invalid_size(tmp_path, command, scale):
+    # Squares of y beyond the largest double (1e160), or finite squares whose
+    # sums overflow (1.5e154), used to end in a traceback with empty stdout.
+    rng = np.random.default_rng(0)
+    path = tmp_path / "big.csv"
+    path.write_text("subject,time,y\n" + "".join(
+        f"s{i},{t},{scale * rng.standard_normal():.17g}\n"
+        for i in range(6) for t in range(1, 5)
+    ), encoding="utf-8")
+    result = invoke(command, "--input", str(path))
+    assert result.exit_code == 13
+    assert result.stdout == "E_INVALID_SIZE\n"
+    assert result.stderr == (
+        "InvalidSize: cross products of y and X overflow float64; "
+        "rescale the data\n"
+    )
+
+
 # --------------------------------------------------------------------------
 # config files
 

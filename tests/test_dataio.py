@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
-from conftest import per_row_read_long_csv, simulated_dataset
+from conftest import (
+    csv_writer_write_long_csv,
+    per_row_read_long_csv,
+    simulated_dataset,
+)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -250,6 +254,39 @@ def test_write_long_csv_bytes_match_the_row_by_row_writer(tmp_path):
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert b'"a,b"' in new and b'"say ""hi"""' in new and b'"two\nlines"' in new
+
+
+ID_PIECES = st.sampled_from([",", '"', "\n", "\r", " ", "é", "☃", "a", "7", "\t"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.text(ID_PIECES, max_size=6), min_size=1, max_size=8, unique=True),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_write_long_csv_bytes_match_csv_writer(tmp_path_factory, ids, seed):
+    # Ids with a comma, a quote, a newline, spaces, non-ASCII characters or
+    # nothing at all are quoted as csv.writer quotes them; an empty id among
+    # three fields is an empty field, not "".
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 4, len(ids))
+    data = lc.RepeatedMeasuresData(
+        lc.SubjectData(np.arange(1.0, p + 1) * rng.uniform(0.5, 2.0),
+                       rng.standard_normal(p) * 10.0 ** rng.integers(-20, 20, p),
+                       np.ones((p, 1)))
+        for p in sizes.tolist()
+    )
+    out = tmp_path_factory.mktemp("write")
+    lc.write_long_csv(out / "new.csv", data, subject_ids=ids)
+    csv_writer_write_long_csv(out / "old.csv", data, ids)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def test_write_long_csv_writes_an_empty_id_as_an_empty_field(tmp_path):
+    data = simulated_dataset(2, [1.0, 2.0], seed=8)
+    lc.write_long_csv(tmp_path / "out.csv", data, subject_ids=["", "b"])
+    lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith(",1,") and lines[3].startswith("b,1,")
 
 
 # --------------------------------------------------------------------------

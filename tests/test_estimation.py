@@ -1,12 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 import learcov as lc
+from learcov import estimation
 from learcov.estimation import _Prepared
 from conftest import (
+    fsum_gram,
+    per_point_profile,
+    per_point_scan,
     per_subject_prepared_groups,
     per_subject_with_subject_times,
     simulated_dataset,
@@ -262,7 +269,7 @@ def pattern_dataset(patterns, q, seed=0):
     patterns are interleaved rather than grouped.
     """
     rng = np.random.default_rng(seed)
-    beta = np.array([1.0, 0.5, -0.25])[:q]
+    beta = np.array([1.0, 0.5, -0.25, 0.125])[:q]
     members = []
     for times, count in patterns:
         t = np.asarray(times, dtype=float)
@@ -364,6 +371,43 @@ def test_pattern_statistics_fail_where_the_whitened_formula_fails(
         lc.profile_estimates(data, theta, criterion, parameterization)
 
 
+OVERFLOW = "cross products of y and X overflow float64; rescale the data"
+
+
+def scaled_dataset(scale, seed=0):
+    """Six subjects on four unit-spaced visits, responses scale * N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(1.0, 5.0)
+    return lc.RepeatedMeasuresData(
+        subject(t, scale * rng.standard_normal(4)) for _ in range(6)
+    )
+
+
+@pytest.mark.parametrize("scale", [1e160, 1.5e154])
+def test_overflowing_cross_products_are_refused(scale):
+    # At 1e160 products are infinite; at 1.5e154 a sum of finite products
+    # overflows first. They used to escape from math.fsum as ValueError
+    # (-inf + inf) and OverflowError (intermediate overflow).
+    data = scaled_dataset(scale)
+    with pytest.raises(lc.InvalidSize, match=OVERFLOW):
+        lc.profile_estimates(data, (0.5, 1.0))
+    with pytest.raises(lc.InvalidSize, match=OVERFLOW):
+        lc.fit(data)
+
+
+def test_overflowing_weighted_sums_are_refused():
+    # Cross products near 1e306 sum to finite tensors, and identity weights
+    # keep the pattern terms finite; the G^-1 of a strong correlation
+    # multiplies them past the largest double.
+    data = scaled_dataset(2e153)
+    r = data.grid.d_max - data.grid.d_min
+    assert math.isfinite(lc.profile_loglik(data, (0.0, r)))
+    with pytest.raises(lc.InvalidSize, match=OVERFLOW):
+        lc.profile_estimates(data, (0.95, 0.1 * r))
+    with pytest.raises(lc.InvalidSize, match=OVERFLOW):
+        lc.fit(data)
+
+
 @pytest.mark.parametrize("data", [
     pattern_dataset(UNIT_PATTERNS, 1), pattern_dataset(IRREGULAR_PATTERNS, 2),
     pattern_dataset(PER_SUBJECT_PATTERNS, 3),
@@ -389,20 +433,221 @@ def test_subjects_are_views_of_the_columns():
         assert not column.flags.writeable
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 1365, 4097])
+@pytest.mark.parametrize("m", [1, 2, 3, 1365, 4097, 16385])
 def test_exact_gram_rounds_every_entry_once(m):
     # Columns mix magnitudes so that a plain floating-point sum of the
-    # products differs from the exactly rounded one; m = 1365 splits the
-    # products over several math.fsum batches with a short last one.
+    # products differs from the exactly rounded one; m = 1365 and 4097 put
+    # several rows in each chunk of products, with a short last chunk, and
+    # m = 16385 makes every row longer than a chunk.
     from learcov.estimation import _exact_gram
 
     rng = np.random.default_rng(m)
     A = rng.standard_normal((4, m)) * 10.0 ** rng.integers(-8, 9, (4, m))
     B = rng.standard_normal((2, m))
-    want = np.array([[math.fsum((a * b).tolist()) for b in A] for a in A])
-    assert np.array_equal(_exact_gram(A), want)
-    want = np.array([[math.fsum((a * b).tolist()) for b in B] for a in A])
-    assert np.array_equal(_exact_gram(A, B), want)
+    assert np.array_equal(_exact_gram(A), fsum_gram(A))
+    assert np.array_equal(_exact_gram(A, B), fsum_gram(A, B))
+
+
+def row_set(kind: str, seed: int, rows: int, m: int) -> np.ndarray:
+    """A (rows, m) array of products of one adversarial kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        # Magnitudes from 2**-70 to 2**70, so float sums lose low bits.
+        return rng.standard_normal((rows, m)) * 2.0 ** rng.integers(-70, 71, (rows, m))
+    if kind == "ties":
+        # x + ulp(x) / 2 lies halfway between two doubles; pairs +-z that
+        # cancel exactly hide the tie among other terms.
+        x = rng.integers(2 ** 52, 2 ** 53, (rows, 1)) * 2.0 ** rng.integers(-60, 60, (rows, 1))
+        half = np.spacing(x) / 2 * rng.choice([-1.0, 1.0], (rows, 1))
+        z = rng.standard_normal((rows, m)) * x
+        out = np.concatenate([x, half, z, -z], axis=1)
+        return rng.permuted(out, axis=1)[:, :m] if m >= 2 else x
+    if kind == "cancel":
+        z = rng.standard_normal((rows, (m + 1) // 2)) * 2.0 ** rng.integers(-30, 30, (rows, 1))
+        return rng.permuted(np.concatenate([z, -z], axis=1), axis=1)[:, :m]
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], (rows, m))
+    if kind == "subnormal":
+        tiny = rng.integers(-2 ** 40, 2 ** 40, (rows, m)) * 2.0 ** -1074
+        return np.where(rng.random((rows, m)) < 0.5, tiny, rng.standard_normal((rows, m)) * 2.0 ** -1000)
+    if kind == "huge":
+        # Near 2**1000: rows in and beyond the binned range, some with zeros.
+        out = rng.standard_normal((rows, m)) * 2.0 ** rng.integers(940, 1001, (rows, m))
+        out[rng.random((rows, m)) < 0.2] = 0.0
+        return out / 2.0 ** rng.integers(0, 60, (rows, 1))
+    if kind == "edge":
+        # Terms near the largest double: math.fsum overflows in between even
+        # where the exact sum is representable, and the sum must do the same.
+        top = rng.choice([-1.0, 1.0], (rows, m)) * rng.choice([0.5, 0.75, 1.0], (rows, m))
+        return top * 2.0 ** 1023 / 2.0 ** rng.integers(0, 3, (rows, 1))
+    if kind == "mixed-rows":
+        # One chunk holding rows for both paths, and rows with zeros.
+        out = row_set("mixed", seed, rows, m)
+        out[::2] *= 2.0 ** 930
+        out[1::3] = 0.0
+        return out
+    raise ValueError(kind)
+
+
+KINDS = ("mixed", "ties", "cancel", "zeros", "subnormal", "huge", "edge", "mixed-rows")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2 ** 32 - 1),
+    rows=st.integers(1, 5),
+    m=st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 300),
+                st.just(estimation._SUM_CHUNK + 3)),
+)
+def test_exact_row_sums_equal_math_fsum(kind, seed, rows, m):
+    products = row_set(kind, seed, rows, m)
+    try:
+        want = np.array([math.fsum(row) for row in products.tolist()])
+    except OverflowError:
+        with pytest.raises(lc.InvalidSize, match="overflow"):
+            estimation._exact_row_sums(products)
+        return
+    got = estimation._exact_row_sums(products)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_exact_row_sums_refuse_non_finite_products():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(lc.InvalidSize, match="rescale the data"):
+            estimation._exact_row_sums(np.array([[1.0, bad, 2.0]]))
+
+
+# --------------------------------------------------------------------------
+# the stacked evaluation against the per-point one
+
+GAP2_PATTERNS = (((0, 2, 4, 6, 8), 30), ((0, 2, 4), 9), ((2, 4, 6, 8), 4))
+MIXED_LENGTH_PATTERNS = (
+    ((1, 2, 3, 4, 5, 6), 30), ((1, 2, 4, 5), 10), ((2, 3), 5), ((3,), 4),
+    ((1, 3, 4, 5, 6), 2),
+)
+SCAN_GRIDS = {
+    "unit": UNIT_PATTERNS, "gap2": GAP2_PATTERNS,
+    "mixed-length": MIXED_LENGTH_PATTERNS, "irregular": IRREGULAR_PATTERNS,
+}
+
+
+def scan_points(data, parameterization, allow_negative=False):
+    """The 441 points of fit's default scan, first parameter outermost."""
+    opts = lc.FitOptions(allow_negative=allow_negative)
+    lo = -opts.rho_cap if allow_negative else 0.0
+    axis1 = np.linspace(lo, opts.rho_cap, opts.grid_points)
+    if parameterization == "lear":
+        r = data.grid.d_max - data.grid.d_min
+        axis2 = np.linspace(0.0, opts.delta_cap_factor * r, opts.grid_points)
+    else:
+        axis2 = np.linspace(lo, opts.rho_cap, opts.grid_points)
+    return [(a, b) for a in axis1.tolist() for b in axis2.tolist()]
+
+
+def outcomes(results):
+    """Log-likelihood bits, or the failure's type and message, per point."""
+    return [r.hex() if isinstance(r, float) else (type(r), str(r)) for r in results]
+
+
+def scan_cases():
+    for grid, patterns in SCAN_GRIDS.items():
+        for q in (1, 2, 3, 4):
+            data = pattern_dataset(patterns, q, seed=q)
+            for criterion in ("ml", "reml"):
+                yield pytest.param(data, "lear", criterion, False,
+                                   id=f"lear-{criterion}-{grid}-q{q}")
+                if grid != "irregular":
+                    yield pytest.param(data, "arma11", criterion, False,
+                                       id=f"arma11-{criterion}-{grid}-q{q}")
+            if grid in ("unit", "mixed-length"):
+                yield pytest.param(data, "arma11", "ml", True,
+                                   id=f"arma11-negative-{grid}-q{q}")
+
+
+@pytest.mark.parametrize("data, parameterization, criterion, allow_negative",
+                         scan_cases())
+def test_stacked_scan_matches_the_per_point_path(
+    data, parameterization, criterion, allow_negative
+):
+    prep = _Prepared(data)
+    points = scan_points(data, parameterization, allow_negative)
+    want = outcomes(per_point_scan(prep, parameterization, criterion, points))
+    a, b = zip(*points)
+    got = outcomes(estimation._profile_points(prep, parameterization, criterion, a, b))
+    assert got == want
+    # One point at a time, as the refinement evaluates, gives the same.
+    for k in range(0, len(points), 37):
+        one = estimation._profile_points(prep, parameterization, criterion,
+                                         [a[k]], [b[k]], estimates=True)[0]
+        if isinstance(one, Exception):
+            assert outcomes([one]) == [want[k]]
+            continue
+        loglik, beta, sigma2 = per_point_profile(
+            prep, parameterization, criterion, a[k], b[k])
+        assert one[0].hex() == want[k] == loglik.hex()
+        assert one[1].tobytes() == beta.tobytes() and one[2] == sigma2
+
+
+def test_stacked_scan_meets_failures():
+    # The comparison above is only as good as its failure mask: the default
+    # scan fails at many points on the unit grid, and on others.
+    data = pattern_dataset(UNIT_PATTERNS, 1)
+    prep = _Prepared(data)
+    for parameterization in ("lear", "arma11"):
+        points = scan_points(data, parameterization, parameterization == "arma11")
+        failures = [r for r in per_point_scan(prep, parameterization, "ml", points)
+                    if isinstance(r, Exception)]
+        assert 20 <= len(failures) < len(points)
+
+
+def test_stacked_scan_raises_rank_deficiency_where_the_per_point_path_does():
+    # Two nearly collinear columns: identity weights factor, and so do the
+    # first points of the scan, until one G^-1 makes the normal equations
+    # singular by rounding.
+    rng = np.random.default_rng(2)
+    t = np.arange(1.0, 7.0)
+    X = np.column_stack([np.ones(6), 1.0 + 1.7782794100389228e-08 * t])
+    data = lc.RepeatedMeasuresData(
+        lc.SubjectData(t, rng.standard_normal(6), X) for _ in range(5)
+    )
+    prep = _Prepared(data)
+    points = scan_points(data, "lear")
+    want = []
+    with pytest.raises(lc.RankDeficient):
+        for a, b in points:
+            want.append(per_point_scan(prep, "lear", "ml", [(a, b)])[0])
+    k = len(want)
+    assert 0 < k < len(points)
+    a, b = zip(*points)
+    got = estimation._profile_points(prep, "lear", "ml", a[:k], b[:k])
+    assert outcomes(got) == outcomes(want)
+    with pytest.raises(lc.RankDeficient):
+        estimation._profile_points(prep, "lear", "ml", a[:k + 1], b[:k + 1])
+    with pytest.raises(lc.RankDeficient):
+        lc.fit(data)
+
+
+def test_stacked_scan_memory_stays_bounded():
+    # 60 patterns of 8 visits: one point's correlation stack holds 3840
+    # entries, so the 441-point scan stacked in one piece peaks at 58 MB
+    # (measured with _STACK_CHUNK raised past it); in chunks of at most
+    # _STACK_CHUNK entries it peaks at 4.5 MB.
+    rng = np.random.default_rng(9)
+    patterns = [(tuple(np.arange(1.0, 9.0) + rng.uniform(-0.3, 0.3, 8)), 1)
+                for _ in range(60)]
+    data = pattern_dataset(patterns, 1)
+    prep = _Prepared(data)
+    a, b = zip(*scan_points(data, "lear"))
+    assert 441 * 3840 > 10 * estimation._STACK_CHUNK
+    tracemalloc.start()
+    try:
+        got = estimation._profile_points(prep, "lear", "ml", a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 441
+    assert peak < 8 * 8 * estimation._STACK_CHUNK  # 8 MB
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-5, 1e-7])
