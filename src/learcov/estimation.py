@@ -51,7 +51,8 @@ the same bits as with scipy (for designs of up to 7 columns).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import pairwise
 
@@ -716,7 +717,12 @@ def profile_estimates(
     log-likelihood is a function of the correlation parameters alone.
     """
     _check_choices(criterion, parameterization)
-    a, b = (float(v) for v in corr_params)
+    try:
+        a, b = (float(v) for v in corr_params)
+    except (TypeError, ValueError):
+        raise InvalidParams(
+            f"corr_params must be a pair of numbers (got {corr_params!r})"
+        ) from None
     if parameterization == "lear":
         violations = validate_lear_values(1.0, a, b)
     else:
@@ -745,6 +751,14 @@ def profile_loglik(
 # fitting
 
 
+# The values a FitOptions field of each type accepts, and their name.
+_FIELD_TYPES = {
+    bool: ((bool, np.bool_), "a bool"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a finite real number"),
+}
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Knobs for the grid scan and the Nelder-Mead refinement.
@@ -755,7 +769,8 @@ class FitOptions:
     instead of being treated as an interior optimum. ``allow_negative``
     widens the ARMA(1,1) box to (-rho_cap, rho_cap) for both parameters and
     is ignored for the LEAR parameterization. ``boundary_tol`` is relative to
-    each box width.
+    each box width. Each field takes values of its default's type, numpy
+    scalars included, and keeps them as that type; floats must be finite.
     """
 
     grid_points: int = 21
@@ -767,7 +782,23 @@ class FitOptions:
     boundary_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        # Types first, so the ranges below compare numbers.
         problems = []
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            accepts, name = _FIELD_TYPES[kind]
+            try:
+                # bool is an int to Python, but not a number here.
+                ok = (isinstance(value, accepts) and math.isfinite(value)
+                      and isinstance(value, (bool, np.bool_)) == (kind is bool))
+            except OverflowError:  # an integer beyond the float range
+                ok = False
+            if ok:
+                object.__setattr__(self, f.name, kind(value))
+            else:
+                problems.append(f"{f.name} must be {name} (got {value!r})")
+        if problems:
+            raise InvalidParams("; ".join(problems))
         if self.grid_points < 2:
             problems.append("grid_points must be at least 2")
         if not (0.0 < self.rho_cap < 1.0):
@@ -782,6 +813,15 @@ class FitOptions:
             problems.append("boundary_tol must be in (0, 0.5)")
         if problems:
             raise InvalidParams("; ".join(problems))
+
+
+def _plain_dict(items) -> dict:
+    """asdict's dict_factory for to_dict: arrays as lists, flag sets sorted."""
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray)
+        else sorted(value) if isinstance(value, frozenset) else value
+        for key, value in items
+    }
 
 
 @dataclass(frozen=True)
@@ -808,18 +848,7 @@ class FitResult:
     n_scan_failures: int
 
     def to_dict(self) -> dict:
-        return {
-            "parameterization": self.parameterization,
-            "criterion": self.criterion,
-            "estimates": asdict(self.estimates),
-            "beta_hat": [float(v) for v in self.beta_hat],
-            "max_loglik": self.max_loglik,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "boundary_flags": sorted(self.boundary_flags),
-            "scan_max_loglik": self.scan_max_loglik,
-            "n_scan_failures": self.n_scan_failures,
-        }
+        return asdict(self, dict_factory=_plain_dict)
 
 
 def _expit(u: float) -> float:
@@ -970,6 +999,18 @@ def fit(
                 "integer distances"
             )
 
+    widen = opts.allow_negative and parameterization == "arma11"
+    lo1 = -opts.rho_cap if widen else 0.0
+    if parameterization == "lear":
+        lo2, cap2 = 0.0, opts.delta_cap_factor * d_range
+        if math.isinf(cap2):
+            raise InvalidParams(
+                f"delta_cap_factor {opts.delta_cap_factor!r} times the distance "
+                f"range {d_range!r} overflows float64"
+            )
+    else:
+        lo2, cap2 = (-opts.rho_cap if widen else 0.0), opts.rho_cap
+
     prep = _Prepared(data)
 
     def loglik_at(a: float, b: float) -> float:
@@ -977,12 +1018,6 @@ def fit(
         ll = _profile_points(prep, parameterization, criterion, [a], [b])[0]
         return -math.inf if isinstance(ll, Exception) else ll
 
-    widen = opts.allow_negative and parameterization == "arma11"
-    lo1 = -opts.rho_cap if widen else 0.0
-    if parameterization == "lear":
-        lo2, cap2 = 0.0, opts.delta_cap_factor * d_range
-    else:
-        lo2, cap2 = (-opts.rho_cap if widen else 0.0), opts.rho_cap
     axis1 = np.linspace(lo1, opts.rho_cap, opts.grid_points)
     axis2 = np.linspace(lo2, cap2, opts.grid_points)
 
@@ -1118,20 +1153,7 @@ class ComparisonReport:
     mapping_note: str | None
 
     def to_dict(self) -> dict:
-        mapped = self.arma_mapped_to_lear
-        return {
-            "criterion": self.criterion,
-            "spacing": self.spacing,
-            "lear": self.lear.to_dict(),
-            "arma11": self.arma11.to_dict(),
-            "loglik_difference": self.loglik_difference,
-            "reference_subject": self.reference_subject,
-            "lear_covariance": self.lear_covariance.tolist(),
-            "arma11_covariance": self.arma11_covariance.tolist(),
-            "max_covariance_difference": self.max_covariance_difference,
-            "arma_mapped_to_lear": None if mapped is None else asdict(mapped),
-            "mapping_note": self.mapping_note,
-        }
+        return asdict(self, dict_factory=_plain_dict)
 
 
 def compare_parameterizations(

@@ -245,6 +245,4 @@ def correlation_at_distance(
         )
     r = grid.d_max - grid.d_min
     fraction = (d - grid.d_min) / r if r > 0 else 0.0
-    if params.rho_l == 0.0:
-        return 0.0
     return params.rho_l ** (grid.d_min + params.delta * fraction)

@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields
+from inspect import signature
 
 import numpy as np
 import pytest
@@ -106,6 +108,16 @@ def test_reparam_verify_reports_matrix_agreement():
                "--delta", "2", "--times", "1,2,3,4", "--verify")
     )
     assert out["max_matrix_difference"] < 1e-15
+
+
+def test_reparam_verify_checks_the_inverse_map_too():
+    for source in (["--range", "3"], ["--times", "2,4,6,8"]):
+        out = payload_of(
+            invoke("reparam", "--direction", "arma2lear", "--tau", "0.6",
+                   "--rho-a", "0.5", "--verify", *source)
+        )
+        assert list(out["output"]) == ["sigma2", "rho_l", "delta"]
+        assert out["max_matrix_difference"] < 1e-15
 
 
 def test_reparam_verify_accepts_integer_ranges_only():
@@ -313,6 +325,36 @@ def test_overflowing_cross_products_map_to_invalid_size(tmp_path, command, scale
         "InvalidSize: cross products of y and X overflow float64; "
         "rescale the data\n"
     )
+
+
+@pytest.mark.parametrize("factor", ["1e308", "inf"])
+def test_an_overflowing_delta_cap_is_refused_as_a_parameter(tmp_path, factor):
+    # The scan axis linspace(0, factor * range) overflows; the data are fine.
+    result = invoke("fit", "--input", dataset_csv(tmp_path, 20),
+                    "--delta-cap-factor", factor)
+    assert result.exit_code == 12
+    assert result.stdout == "E_INVALID_PARAMS\n"
+    assert result.stderr.startswith("InvalidParams: delta_cap_factor ")
+
+
+INPUT_FLAGS = {"input_path", "subject_col", "time_col", "y_col", "design"}
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_fit_flags_mirror_fit_options(command):
+    params = {p.name: p for p in main.commands[command].params}
+    own = set(params) - INPUT_FLAGS - {"config", "parameterization"}
+    assert own == {"criterion", *(f.name for f in fields(lc.FitOptions))}
+    assert params["criterion"].default == signature(lc.fit).parameters["criterion"].default
+    for f in fields(lc.FitOptions):
+        flag = params[f.name]
+        assert flag.opts == ["--" + f.name.replace("_", "-")]
+        assert flag.default == f.default and type(flag.default) is type(f.default)
+        assert flag.is_flag == isinstance(f.default, bool)
+    if command == "fit":
+        assert params["parameterization"].default == (
+            signature(lc.fit).parameters["parameterization"].default
+        )
 
 
 # --------------------------------------------------------------------------

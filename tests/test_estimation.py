@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -711,6 +712,14 @@ def test_profile_loglik_validates_inputs():
         lc.profile_loglik(data, (0.5, 0.0), parameterization="ar1")
 
 
+@pytest.mark.parametrize("corr_params", [("a", 1), (0.5,), (0.5, 1.0, 2.0), 0.5])
+def test_malformed_corr_params_are_invalid_params(corr_params):
+    data = simulated_dataset(4, [1, 2, 3], seed=2)
+    for evaluate in (lc.profile_loglik, lc.profile_estimates):
+        with pytest.raises(lc.InvalidParams, match="corr_params"):
+            evaluate(data, corr_params)
+
+
 def test_loglik_surface_is_finite_on_interior_smoke_grid():
     data = simulated_dataset(10, [1, 2, 3, 4], seed=31)
     r = data.grid.d_max - data.grid.d_min
@@ -759,6 +768,48 @@ def test_fit_compound_symmetry_truth_lands_at_lower_delta_boundary():
     }
 
 
+def arma11_dataset(n_subjects, times, seed, tau, rho_a, sigma2=1.0):
+    return lc.simulate(lc.SimSpec(
+        n_subjects=n_subjects,
+        times=(np.asarray(times, dtype=float),),
+        beta=np.array([1.0]),
+        covariance=lc.Arma11Params(sigma2, tau, rho_a),
+        seed=seed,
+    ))
+
+
+def test_negatively_correlated_data_put_rho_at_its_lower_edge():
+    # tau < 0 has no LEAR counterpart: the LEAR fit drives rho_l to 0.
+    data = arma11_dataset(100, [1, 2, 3, 4, 5], seed=3, tau=-0.3, rho_a=0.5)
+    res = lc.fit(data)
+    assert res.estimates.rho_l < 1e-12
+    assert res.boundary_flags == {"rho_at_lower"}
+
+
+def test_near_unit_correlation_puts_rho_at_its_cap():
+    data = simulated_dataset(100, [1, 2, 3, 4, 5], seed=5, rho_l=0.999, delta=2.0)
+    res = lc.fit(data)
+    assert res.estimates.rho_l == pytest.approx(0.99, abs=1e-6)
+    assert res.boundary_flags == {"rho_at_upper_cap"}
+
+
+def test_the_scan_point_is_kept_when_the_refinement_ends_lower(monkeypatch):
+    data = simulated_dataset(60, [1, 2, 3, 4], seed=7, rho_l=0.6, delta=1.0)
+    # A refinement that ends near rho_l = 0, delta = 0, far below the scan.
+    monkeypatch.setattr(
+        estimation, "_nelder_mead",
+        lambda func, x0, maxiter, xatol, fatol: (np.array([-30.0, -30.0]), 7, True),
+    )
+    res = lc.fit(data)
+    refined = (0.99 / (1.0 + math.exp(30.0)), math.exp(-30.0))
+    assert lc.profile_loglik(data, refined) < res.max_loglik
+    assert res.max_loglik == res.scan_max_loglik
+    assert res.estimates.rho_l in np.linspace(0.0, 0.99, 21)
+    assert res.estimates.delta in np.linspace(0.0, 5.0 * 2.0, 21)
+    # The refinement's own report is passed on.
+    assert (res.iterations, res.converged) == (7, True)
+
+
 def test_fit_rejects_zero_distance_range():
     data = lc.RepeatedMeasuresData(
         (subject([1, 2], [0.4, 0.6]), subject([1, 2], [0.2, 0.9]))
@@ -792,6 +843,43 @@ def test_fit_options_are_validated():
         lc.FitOptions(delta_cap_factor=0.0)
     with pytest.raises(lc.InvalidParams):
         lc.FitOptions(tolerance=0.0)
+    # Each field checks its type, by the type of its default.
+    for field, value in [
+        ("grid_points", 2.5), ("grid_points", True), ("grid_points", "21"),
+        ("max_iterations", 2.5), ("max_iterations", np.bool_(True)),
+        ("rho_cap", "0.5"), ("rho_cap", None), ("tolerance", True),
+        ("delta_cap_factor", math.inf), ("boundary_tol", math.nan),
+        ("allow_negative", 1), ("allow_negative", "yes"),
+    ]:
+        with pytest.raises(lc.InvalidParams, match=f"^{field} must be"):
+            lc.FitOptions(**{field: value})
+    with pytest.raises(lc.InvalidParams, match="^rho_cap must be a finite real"):
+        lc.FitOptions(rho_cap=10 ** 400)
+    # numpy scalars are accepted and kept as the field's own type.
+    opts = lc.FitOptions(grid_points=np.int64(5), max_iterations=np.int32(50),
+                         rho_cap=np.float64(0.9), delta_cap_factor=4,
+                         allow_negative=np.bool_(True))
+    assert opts == lc.FitOptions(grid_points=5, max_iterations=50, rho_cap=0.9,
+                                 delta_cap_factor=4.0, allow_negative=True)
+    assert [type(getattr(opts, f.name)) for f in fields(lc.FitOptions)] == [
+        type(f.default) for f in fields(lc.FitOptions)
+    ]
+
+
+@pytest.mark.parametrize("factor", [1e308, math.inf])
+def test_an_overflowing_delta_cap_is_invalid_params(monkeypatch, factor):
+    data = simulated_dataset(20, [1, 2, 3, 4], seed=5)  # distance range 2
+    with monkeypatch.context() as patch:
+        # Refused before the workspace is built: the data are not at fault.
+        patch.setattr(estimation, "_Prepared", None)
+        with pytest.raises(lc.InvalidParams, match="delta_cap_factor"):
+            lc.fit(data, options=lc.FitOptions(delta_cap_factor=factor))
+
+
+def test_the_arma11_box_ignores_the_delta_cap():
+    data = simulated_dataset(20, [1, 2, 3, 4], seed=5)
+    huge = lc.fit(data, "arma11", options=lc.FitOptions(delta_cap_factor=1e308))
+    assert huge.to_dict() == lc.fit(data, "arma11").to_dict()
 
 
 def test_fit_is_deterministic():
@@ -957,6 +1045,19 @@ def test_compare_handles_rescaled_grids():
     assert report.spacing == 2.0
     assert report.loglik_difference < 1e-4
     assert report.max_covariance_difference < 1e-3
+
+
+def test_compare_notes_an_arma_fit_outside_the_lear_image():
+    data = arma11_dataset(100, [1, 2, 3, 4, 5], seed=3, tau=-0.3, rho_a=0.5)
+    report = lc.compare_parameterizations(
+        data, options=lc.FitOptions(allow_negative=True)
+    )
+    assert report.arma11.estimates.tau < 0.0
+    assert report.arma_mapped_to_lear is None
+    assert report.mapping_note.startswith("E_OUTSIDE_LEAR_IMAGE: ")
+    d = report.to_dict()
+    assert d["arma_mapped_to_lear"] is None
+    assert d["mapping_note"] == report.mapping_note
 
 
 def test_compare_requires_eligible_grid():

@@ -274,10 +274,11 @@ def test_wrappers_reject_irregular_grids():
 
 def test_correlation_at_distance_matches_matrix_entries():
     g = grid_of([1, 2, 3, 4, 5])
-    th = lc.LearParams(1.0, 0.6, 4.0)
-    corr = lc.lear_correlation(th, g, 0)
-    for d in (1.0, 2.0, 3.0, 4.0):
-        assert lc.correlation_at_distance(th, g, d) == corr[0, int(d)]
+    for rho_l in (0.6, 0.0):
+        th = lc.LearParams(1.0, rho_l, 4.0)
+        corr = lc.lear_correlation(th, g, 0)
+        for d in (1.0, 2.0, 3.0, 4.0):
+            assert lc.correlation_at_distance(th, g, d) == corr[0, int(d)]
 
 
 def test_correlation_at_distance_uses_original_scale_after_normalization():
