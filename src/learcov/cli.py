@@ -23,13 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._jsonio import dumps
-from .core import (
-    Arma11Params,
-    LearParams,
-    arma11_covariance,
-    build_grid,
-    lear_covariance,
-)
+from .core import Arma11Params, LearParams, build_grid, lear_covariance
 from .dataio import load_sim_spec, read_long_csv, write_long_csv
 from .errors import InvalidParams, LearcovError, ParseError
 from .estimation import (
@@ -44,7 +38,6 @@ from .reparam import (
     check_special_case,
     map_arma11_to_lear,
     map_lear_to_arma11,
-    normalize_grid,
 )
 from .sim import DESIGN_RULES
 from .sim import simulate as run_simulation
@@ -149,7 +142,28 @@ def _load_data(params: dict):
     )
 
 
-@click.group()
+class _Group(click.Group):
+    """The learcov command group: every subcommand fails with a token.
+
+    A LearcovError, an OSError (as E_PARSE_ERROR) or a flag that click
+    cannot parse (as E_INVALID_PARAMS) becomes the error's token on stdout,
+    its message on stderr and its exit code.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (LearcovError, OSError, click.UsageError) as exc:
+            if isinstance(exc, click.UsageError):
+                exc = InvalidParams(exc.format_message())
+            elif not isinstance(exc, LearcovError):
+                exc = ParseError(str(exc))
+            click.echo(type(exc).token)
+            click.echo(f"{type(exc).__name__}: {exc}", err=True)
+            sys.exit(type(exc).exit_code)
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="learcov")
 def main() -> None:
     """Linear exponent autoregressive covariance models for repeated measures."""
@@ -161,22 +175,13 @@ def _command(name: str, *options):
     ``body`` takes the merged parameters (flags over the config file over
     defaults) and returns the JSON payload, which is printed after the
     schema_version and command keys, or None when it printed its own output.
-    A LearcovError, or an OSError as E_PARSE_ERROR, becomes the error's
-    token on stdout, its message on stderr and its exit code.
     """
     def register(body):
         @functools.wraps(body)
         @click.pass_context
         def command(ctx, **_):
-            try:
-                _apply_config(ctx)
-                payload = body(ctx.params)
-            except (LearcovError, OSError) as exc:
-                if not isinstance(exc, LearcovError):
-                    exc = ParseError(str(exc))
-                click.echo(type(exc).token)
-                click.echo(f"{type(exc).__name__}: {exc}", err=True)
-                sys.exit(type(exc).exit_code)
+            _apply_config(ctx)
+            payload = body(ctx.params)
             if payload is not None:
                 click.echo(dumps(
                     {"schema_version": SCHEMA_VERSION, "command": name, **payload},
@@ -216,6 +221,30 @@ def build_matrix(p: dict) -> dict | None:
     return {"times": t.tolist(), **asdict(params), "covariance": cov.tolist()}
 
 
+# Largest range R that reparam --verify checks: R + 1 lags, a few vectors
+# of that length.
+_VERIFY_MAX_RANGE = 100_000
+
+
+def _max_lag_difference(lear: LearParams, arma: Arma11Params, rng: float) -> float:
+    """Largest |LEAR - ARMA(1,1)| covariance entry on the unit grid of range R.
+
+    That grid has R + 2 points, d_min = 1 and d_max = R + 1. The two share
+    sigma2, as the maps keep it, so their matrices differ only off the
+    diagonal, at the lags 1..R + 1. Each lag's entries are computed as
+    core._lear_corr and core._arma11_corr compute them, with a broadcast
+    base for the power, so they have the matrices' bits.
+    """
+    d_min, d_max = 1.0, rng + 1.0
+    lag = np.arange(d_min, d_max + 1.0)
+    exponent = d_min + lear.delta * (lag - d_min) / (d_max - d_min)
+    lear_corr = np.power(np.asarray(lear.rho_l, dtype=float)[None], exponent)
+    arma_corr = arma.tau * np.power(
+        np.asarray(arma.rho_a, dtype=float)[None], lag - 1.0
+    )
+    return float(np.max(np.abs(lear.sigma2 * lear_corr - arma.sigma2 * arma_corr)))
+
+
 @_command(
     "reparam",
     click.option("--direction", type=click.Choice(["lear2arma", "arma2lear"]),
@@ -232,7 +261,8 @@ def build_matrix(p: dict) -> dict | None:
                       "normalizing this grid."),
     click.option("--verify", is_flag=True, default=False,
                  help="Also report the max elementwise difference between the "
-                      "two implied covariance matrices."),
+                      "two implied covariance matrices, lag by lag (range at "
+                      f"most {_VERIFY_MAX_RANGE})."),
 )
 def reparam_cmd(p: dict) -> dict:
     """Map parameters between the distance and position forms."""
@@ -240,10 +270,8 @@ def reparam_cmd(p: dict) -> dict:
     if (p["d_range"] is None) == (p["times"] is None):
         raise InvalidParams("give exactly one of --range or --times")
 
-    grid = None
     if p["times"] is not None:
-        grid = build_grid([_parse_times(p["times"])])
-        rng = _canonical_range(grid)
+        rng = _canonical_range(build_grid([_parse_times(p["times"])]))
     else:
         rng = p["d_range"]
 
@@ -274,18 +302,16 @@ def reparam_cmd(p: dict) -> dict:
     }
 
     if p["verify"]:
-        if grid is None:
-            if rng <= 0 or rng != int(rng):
-                raise InvalidParams(
-                    "--verify without --times needs a positive integer --range "
-                    "to build a unit-spaced grid"
-                )
-            grid = build_grid([np.arange(1.0, rng + 3.0)])
-        vgrid = normalize_grid(grid)
-        payload["max_matrix_difference"] = float(np.max(np.abs(
-            lear_covariance(lear, vgrid, 0)
-            - arma11_covariance(arma, vgrid.subject_times[0].size)
-        )))
+        if p["times"] is None and (rng <= 0 or rng != int(rng)):
+            raise InvalidParams(
+                "--verify without --times needs a positive integer --range "
+                "to build a unit-spaced grid"
+            )
+        if rng > _VERIFY_MAX_RANGE:
+            raise InvalidParams(
+                f"--verify checks ranges up to {_VERIFY_MAX_RANGE} (got {rng!r})"
+            )
+        payload["max_matrix_difference"] = _max_lag_difference(lear, arma, rng)
     for note in notes:
         click.echo(f"warning: {note}", err=True)
     return payload

@@ -24,11 +24,12 @@ matrix G, so with Z_i = [X_i | y_i] their whole contribution is
 (the pattern grouping of Jennrich and Schluchter, 1986). The per-pattern
 tensor C is built once per dataset, each entry an exactly rounded sum of
 per-subject products: the value math.fsum gives, computed by exponent bins
-(_exact_row_sums). One evaluation factors one G per pattern, batched over
-the patterns of equal length, so its cost grows with the number of distinct
-time patterns, not with the number of subjects; with per-subject times
-every subject is its own pattern. The grid scan evaluates all its points
-as one batch. Pattern terms and log determinants are again summed exactly
+(_exact_row_sums). An evaluation has two stages: the factor stage factors
+one G per pattern, batched over the patterns of equal length, and the q x q
+tail solves for the profiled optima. Its cost grows with the number of
+distinct time patterns, not of subjects; with per-subject times every
+subject is its own pattern. The grid scan evaluates all its points as one
+batch. Pattern terms and log determinants are again summed exactly
 (math.fsum) across patterns, so results are bit-identical under any
 reordering of the subjects. The responses are
 centred on an identity-weight least-squares fit beta0 before C is built: the
@@ -52,11 +53,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import pairwise
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (
     Arma11Params,
@@ -539,20 +542,16 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 _STACK_CHUNK = 1 << 17
 
 
-def _profile_points(
-    prep: _Prepared, parameterization: str, criterion: str, a, b,
-    estimates: bool = False,
-) -> list:
+def _profile_points(prep: _Prepared, parameterization: str, criterion: str,
+                    a, b) -> list:
     """Profiled log-likelihood at each parameter point (a[k], b[k]), in order.
 
-    Returns one entry per point: its log-likelihood, or with ``estimates``
-    the tuple (loglik, beta_hat, sigma2_hat), or the NotPositiveDefinite or
-    SingularFit that the point fails with. RankDeficient and InvalidSize are
-    raised at the first point, in order, that meets them.
-
-    The correlation matrices of a chunk of points are built, factored and
-    inverted as one stack per pattern length; each slice rounds as it would
-    alone. The exactly rounded sums and the q x q solves run point by point.
+    Returns one entry per point: the (loglik, sigma2_hat, La, u) of _tail,
+    or the NotPositiveDefinite or SingularFit that the point fails with.
+    RankDeficient and InvalidSize are raised at the first point, in order,
+    that meets them. A chunk of points goes through _factor_stage as one
+    stack per pattern length; its inverses are contracted with the pattern
+    tensors C, and _tail finishes each point.
     """
     q, M = prep.q, prep.M
     if criterion == "reml" and M <= q:
@@ -565,117 +564,115 @@ def _profile_points(
     step = max(1, _STACK_CHUNK // per_point)
     results = []
     for lo in range(0, a.size, step):
-        results.extend(_profile_chunk(
-            prep, parameterization, criterion, a[lo:lo + step], b[lo:lo + step],
-            estimates,
-        ))
+        # The failures first, then each None filled by the tail.
+        alive, inverses, logdets, chunk = _factor_stage(
+            prep, parameterization, a[lo:lo + step], b[lo:lo + step]
+        )
+        if alive:
+            # A shared G^-1 is broadcast over the patterns by matmul itself.
+            # A term that overflows is refused below, point by point.
+            with np.errstate(over="ignore", invalid="ignore"):
+                T = np.concatenate([
+                    (G_inv.reshape(len(alive), -1, 1, C.shape[1]) @ C)[:, :, 0]
+                    for G_inv, (_, _, C) in zip(inverses, prep.groups)
+                ], axis=1).transpose(0, 2, 1)  # (points, (q+1)^2 sums, patterns)
+            finite = np.isfinite(T).all(axis=(1, 2)).tolist()
+            for k, cols, ok, point_logdets in zip(alive, T.tolist(), finite, logdets):
+                if not ok:
+                    raise _overflow()
+                chunk[k] = _tail(prep, criterion, cols, point_logdets)
+        results.extend(chunk)
     return results
 
 
-def _profile_chunk(prep, parameterization, criterion, a, b, estimates) -> list:
-    """_profile_points for one chunk of points."""
-    q, M = prep.q, prep.M
-    K = a.size
-    failed: dict[int, NotPositiveDefinite] = {}
-    stacks = []
-    for times, counts, C in prep.groups:
-        P, p = times.shape
-        if parameterization == "lear":
-            G = _lear_corr(a, b, times, prep.d_min, prep.d_max)  # (K, P, p, p)
-        else:
-            G = _arma11_corr(a, b, p)  # (K, p, p), shared by the P patterns
-        try:
-            L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            L = None
-            # Find the failing points; each keeps the error of its first
-            # failing pattern length, as when evaluated alone.
-            for k in range(K):
-                if k in failed:
-                    continue
-                try:
-                    np.linalg.cholesky(G[k])
-                except np.linalg.LinAlgError:
-                    failed[k] = NotPositiveDefinite(
-                        f"correlation matrix for a {p}-measurement pattern is "
-                        f"not positive definite"
-                    )
-        stacks.append((G, L))
-    alive = [k for k in range(K) if k not in failed]
-    if not alive:
-        return [failed[k] for k in range(K)]
+def _factor_stage(prep: _Prepared, parameterization: str, a, b):
+    """First stage of an evaluation: G built and factored per pattern length.
 
-    terms = []
+    At each length G is built at the points still alive as one stack,
+    (points, P, p, p), or (points, p, p) shared by the P patterns for
+    ARMA(1,1), and each slice is factored once, rounding as it would alone.
+    A point drops out with the NotPositiveDefinite of its first failing
+    length. Returns (alive, inverses, logdets, failed): the points that
+    factor at every length; G^-1 of each length at them; per alive point,
+    m log det G of each pattern; per point, its failure or None.
+    """
+    alive = list(range(a.size))
+    failed = [None] * a.size
+    inverses = []
     logdets: list[list[float]] = [[] for _ in alive]
-    for (times, counts, C), (G, L) in zip(prep.groups, stacks):
+    for times, counts, _ in prep.groups:
         P, p = times.shape
-        if L is None:
-            L = np.linalg.cholesky(G[alive])
-        elif failed:
-            L = L[alive]
-        # (points, P, p, p), or (points, p, p) shared by the P patterns.
+        # a and b hold the parameters of the points in alive.
+        if parameterization == "lear":
+            G = _lear_corr(a, b, times, prep.d_min, prep.d_max)
+        else:
+            G = _arma11_corr(a, b, p)
+        # The kernel of np.linalg.cholesky without its error callback: a
+        # slice that does not factor comes back as NaNs instead of raising
+        # for the whole stack.
+        with np.errstate(all="ignore"):
+            L = _umath_linalg.cholesky_lo(G, signature="d->d")
+        if np.isnan(L[..., 0, 0]).any():
+            bad = np.isnan(L[..., 0, 0]).reshape(len(alive), -1).any(axis=1)
+            for n in np.flatnonzero(bad).tolist():
+                failed[alive[n]] = NotPositiveDefinite(
+                    f"correlation matrix for a {p}-measurement pattern is "
+                    f"not positive definite"
+                )
+            keep = np.flatnonzero(~bad)
+            if not keep.size:
+                return [], [], [], failed
+            alive = [alive[n] for n in keep.tolist()]
+            logdets = [logdets[n] for n in keep.tolist()]
+            inverses = [G_inv[keep] for G_inv in inverses]
+            a, b, L = a[keep], b[keep], L[keep]
         shared = L.ndim == 3
         diag = np.diagonal(L, axis1=-2, axis2=-1)
         for point, rows in zip(logdets, diag.tolist()):
             for m, row in zip(counts.tolist(), [rows] * P if shared else rows):
                 point.append(m * (2.0 * math.fsum(map(math.log, row))))
         L_inv = np.linalg.inv(L)
-        G_inv = np.swapaxes(L_inv, -1, -2) @ L_inv
-        # A shared G^-1 is broadcast over the patterns by matmul itself. A
-        # term that overflows is refused below, point by point.
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms.append((G_inv.reshape(len(alive), -1, 1, p * p) @ C)[:, :, 0])
-    # (points, (q+1)^2 sums, patterns)
-    T = np.concatenate(terms, axis=1).transpose(0, 2, 1)
-    finite = np.isfinite(T).all(axis=(1, 2)).tolist()
-    columns = iter(zip(T.tolist(), finite, logdets))
+        inverses.append(np.swapaxes(L_inv, -1, -2) @ L_inv)
+    return alive, inverses, logdets, failed
 
+
+def _tail(prep: _Prepared, criterion: str, cols, logdets):
+    """Second stage of an evaluation: the q x q tail at one point.
+
+    ``cols`` holds the per-pattern terms of each entry of sum_i Z_i' G_i^-1
+    Z_i, row by row, and ``logdets`` the m log det G of each pattern.
+    Returns (loglik, sigma2_hat, La, u), with La La' = X' G^-1 X and
+    u = La^-1 X' G^-1 (y - X beta0) (see _beta), or SingularFit.
+    """
+    q, M = prep.q, prep.M
+    # Exactly rounded sums across patterns: results do not depend on the
+    # order subjects were supplied in.
+    try:
+        S = np.array([math.fsum(col) for col in cols]).reshape(q + 1, q + 1)
+    except OverflowError:
+        raise _overflow() from None
+    La = _normal_factor(
+        S[:q, :q], "the design is rank deficient under this correlation"
+    )
+    u = _forward_solve(La, S[:q, q])
+    # Residual quadratic form of the centred responses after the GLS
+    # correction: c - b' A^-1 b with A = La La'.
+    quad = S[q, q] - math.fsum((u * u).tolist())
+    sum_logdet = math.fsum(logdets)
     denom = M if criterion == "ml" else M - q
-    results = []
-    for k in range(K):
-        if k in failed:
-            results.append(failed[k])
-            continue
-        cols, ok, point_logdets = next(columns)
-        # Exactly rounded sums across patterns: results do not depend on
-        # the order subjects were supplied in.
-        if not ok:
-            raise _overflow()
-        try:
-            S = np.array([math.fsum(col) for col in cols]).reshape(q + 1, q + 1)
-        except OverflowError:
-            raise _overflow() from None
-        La = _normal_factor(
-            S[:q, :q], "the design is rank deficient under this correlation"
-        )
-        u = _forward_solve(La, S[:q, q])
-        # Residual quadratic form of the centred responses after the GLS
-        # correction: c - b' A^-1 b with A = La La'.
-        quad = S[q, q] - math.fsum((u * u).tolist())
-        sum_logdet = math.fsum(point_logdets)
-        sigma2 = quad / denom
-        if sigma2 <= 0.0:
-            results.append(
-                SingularFit("residual quadratic form is zero; sigma2_hat = 0")
-            )
-            continue
-        if criterion == "ml":
-            loglik = -0.5 * (M * math.log(2.0 * math.pi * sigma2) + sum_logdet + M)
-        else:
-            adjustment = (2.0 * math.fsum(map(math.log, np.diag(La)))
-                          - q * math.log(sigma2))
-            loglik = -0.5 * (
-                M * math.log(2.0 * math.pi * sigma2)
-                + sum_logdet
-                + (M - q)
-                + adjustment
-            )
-        if estimates:
-            beta = prep.beta0 + _fused_solve(La, u, transpose=True)
-            results.append((loglik, beta, sigma2))
-        else:
-            results.append(loglik)
-    return results
+    sigma2 = quad / denom
+    if sigma2 <= 0.0:
+        return SingularFit("residual quadratic form is zero; sigma2_hat = 0")
+    total = M * math.log(2.0 * math.pi * sigma2) + sum_logdet + denom
+    if criterion == "reml":
+        total += (2.0 * math.fsum(map(math.log, np.diag(La)))
+                  - q * math.log(sigma2))
+    return -0.5 * total, sigma2, La, u
+
+
+def _beta(prep: _Prepared, La: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """beta_hat from the La and u of a _tail result."""
+    return prep.beta0 + _fused_solve(La, u, transpose=True)
 
 
 def _check_choices(criterion: str, parameterization: str) -> None:
@@ -729,12 +726,12 @@ def profile_estimates(
         violations = validate_arma11_values(1.0, a, b)
     if violations:
         raise InvalidParams("; ".join(violations))
-    result = _profile_points(
-        _Prepared(data), parameterization, criterion, [a], [b], estimates=True
-    )[0]
+    prep = _Prepared(data)
+    result = _profile_points(prep, parameterization, criterion, [a], [b])[0]
     if isinstance(result, Exception):
         raise result
-    return ProfileEstimates(*result)
+    loglik, sigma2, La, u = result
+    return ProfileEstimates(loglik, _beta(prep, La, u), sigma2)
 
 
 def profile_loglik(
@@ -771,6 +768,7 @@ class FitOptions:
     is ignored for the LEAR parameterization. ``boundary_tol`` is relative to
     each box width. Each field takes values of its default's type, numpy
     scalars included, and keeps them as that type; floats must be finite.
+    ``grid_points`` is at most 201, as the scan keeps grid_points ** 2 results.
     """
 
     grid_points: int = 21
@@ -799,8 +797,8 @@ class FitOptions:
                 problems.append(f"{f.name} must be {name} (got {value!r})")
         if problems:
             raise InvalidParams("; ".join(problems))
-        if self.grid_points < 2:
-            problems.append("grid_points must be at least 2")
+        if not (2 <= self.grid_points <= 201):
+            problems.append("grid_points must be in [2, 201]")
         if not (0.0 < self.rho_cap < 1.0):
             problems.append("rho_cap must be in (0, 1)")
         if not (self.delta_cap_factor > 0.0):
@@ -872,6 +870,21 @@ def _logit(x: float) -> float:
         return math.log(x / (1.0 - x))
     s = 2.0 * (x - 0.5)
     return math.log1p(s) - math.log1p(-s)
+
+
+def _logit_box(lo: float, hi: float, margin: float):
+    """(to_box, from_box): u -> lo + (hi - lo) expit(u), and its inverse,
+    which clamps v to margin * (hi - lo) inside the ends first."""
+    width = hi - lo
+
+    def to_box(u: float) -> float:
+        return lo + width * _expit(u)
+
+    def from_box(v: float) -> float:
+        v = min(max(v, lo + margin * width), hi - margin * width)
+        return _logit((v - lo) / width)
+
+    return to_box, from_box
 
 
 def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
@@ -1003,20 +1016,25 @@ def fit(
     lo1 = -opts.rho_cap if widen else 0.0
     if parameterization == "lear":
         lo2, cap2 = 0.0, opts.delta_cap_factor * d_range
-        if math.isinf(cap2):
-            raise InvalidParams(
-                f"delta_cap_factor {opts.delta_cap_factor!r} times the distance "
-                f"range {d_range!r} overflows float64"
-            )
+        second = (f"delta_cap_factor {opts.delta_cap_factor!r} times the "
+                  f"distance range {d_range!r}")
     else:
-        lo2, cap2 = (-opts.rho_cap if widen else 0.0), opts.rho_cap
+        lo2, cap2 = lo1, opts.rho_cap
+        second = f"rho_cap {opts.rho_cap!r}"
+    # The refinement keeps each coordinate margin * width inside its box, so
+    # each width must be a finite, normal float64.
+    for name, width in ((f"rho_cap {opts.rho_cap!r}", opts.rho_cap - lo1),
+                        (second, cap2 - lo2)):
+        if not sys.float_info.min <= width < math.inf:
+            raise InvalidParams(
+                f"{name} gives a box of width {width!r}, outside the normal "
+                "range of float64"
+            )
 
     prep = _Prepared(data)
 
-    def loglik_at(a: float, b: float) -> float:
-        """Profiled log-likelihood, -inf where the point fails."""
-        ll = _profile_points(prep, parameterization, criterion, [a], [b])[0]
-        return -math.inf if isinstance(ll, Exception) else ll
+    def profile_at(a: float, b: float):  # a _tail tuple, or the failure
+        return _profile_points(prep, parameterization, criterion, [a], [b])[0]
 
     axis1 = np.linspace(lo1, opts.rho_cap, opts.grid_points)
     axis2 = np.linspace(lo2, cap2, opts.grid_points)
@@ -1028,12 +1046,12 @@ def fit(
     )
     best = None
     n_failures = 0
-    for a, b, ll in zip(grid_a, grid_b, _profile_points(
+    for a, b, result in zip(grid_a, grid_b, _profile_points(
             prep, parameterization, criterion, grid_a, grid_b)):
-        if isinstance(ll, Exception):
+        if isinstance(result, Exception):
             n_failures += 1
-        elif best is None or (ll, -b, -a) > best:
-            best = (ll, -b, -a)
+        elif best is None or (result[0], -b, -a) > best:
+            best = (result[0], -b, -a)
     if best is None:
         raise FitFailed(
             f"all {opts.grid_points ** 2} grid points failed "
@@ -1045,15 +1063,7 @@ def fit(
     # scaled logit for rho-type parameters, log for delta. The delta cap is
     # enforced by clamping inside the objective.
     margin = 1e-8
-
-    def to_box1(u: float) -> float:
-        return lo1 + (opts.rho_cap - lo1) * _expit(u)
-
-    def from_box1(v: float) -> float:
-        width = opts.rho_cap - lo1
-        v = min(max(v, lo1 + margin * width), opts.rho_cap - margin * width)
-        return _logit((v - lo1) / width)
-
+    to_box1, from_box1 = _logit_box(lo1, opts.rho_cap, margin)
     if parameterization == "lear":
         log_cap2 = math.log(cap2)
 
@@ -1063,36 +1073,27 @@ def fit(
         def from_box2(v: float) -> float:
             return math.log(min(max(v, cap2 * margin), cap2))
     else:
-        def to_box2(u: float) -> float:
-            return lo2 + (cap2 - lo2) * _expit(u)
-
-        def from_box2(v: float) -> float:
-            width = cap2 - lo2
-            v = min(max(v, lo2 + margin * width), cap2 - margin * width)
-            return _logit((v - lo2) / width)
+        to_box2, from_box2 = _logit_box(lo2, cap2, margin)
 
     def negative(u) -> float:
-        return -loglik_at(to_box1(u[0]), to_box2(u[1]))
+        result = profile_at(to_box1(u[0]), to_box2(u[1]))
+        return math.inf if isinstance(result, Exception) else -result[0]
 
     start = np.array([from_box1(scan_a), from_box2(scan_b)])
     x, iterations, converged = _nelder_mead(
         negative, start, opts.max_iterations, xatol=1e-8, fatol=opts.tolerance
     )
-    refined_a = to_box1(x[0])
-    refined_b = to_box2(x[1])
-    refined_ll = loglik_at(refined_a, refined_b)
-
-    # The refinement never wins with a worse value than the scan floor.
-    if refined_ll >= scan_ll:
-        final_a, final_b = refined_a, refined_b
-    else:
+    final_a, final_b = to_box1(x[0]), to_box2(x[1])
+    final = profile_at(final_a, final_b)
+    refined_ll = -math.inf if isinstance(final, Exception) else final[0]
+    # The refinement never wins with a worse value than the scan floor, or NaN.
+    if not refined_ll >= scan_ll:
         final_a, final_b = scan_a, scan_b
-    final = _profile_points(
-        prep, parameterization, criterion, [final_a], [final_b], estimates=True
-    )[0]
+        final = profile_at(final_a, final_b)
     if isinstance(final, Exception):
         raise final
-    final_ll, beta_hat, sigma2_hat = final
+    final_ll, sigma2_hat, La, u = final
+    beta_hat = _beta(prep, La, u)
 
     flags = set()
     tol1 = opts.boundary_tol * (opts.rho_cap - lo1)
@@ -1106,14 +1107,11 @@ def fit(
     if final_b >= cap2 - tol2:
         flags.add("delta_at_upper_cap")
 
-    if parameterization == "lear":
-        estimates = LearParams(sigma2_hat, final_a, final_b)
-    else:
-        estimates = Arma11Params(sigma2_hat, final_a, final_b)
+    params = LearParams if parameterization == "lear" else Arma11Params
     return FitResult(
         parameterization=parameterization,
         criterion=criterion,
-        estimates=estimates,
+        estimates=params(sigma2_hat, final_a, final_b),
         beta_hat=beta_hat,
         max_loglik=final_ll,
         converged=converged,

@@ -161,11 +161,11 @@ def _canonical_range(grid: MeasurementGrid) -> float:
 def map_lear_to_arma11(rho_l: float, delta: float, d_range: float) -> tuple[float, float]:
     """Forward map on raw values: (rho_l, delta) to (tau, rho_a).
 
-    ``d_range`` is d_max - d_min in spacing units and must be positive.
+    ``d_range`` is d_max - d_min in spacing units, finite and positive.
     """
     if not (math.isfinite(d_range) and d_range > 0.0):
         raise DegenerateRange(
-            f"distance range must be positive (got {d_range!r}); "
+            f"distance range must be finite and positive (got {d_range!r}); "
             "delta_d = delta / range is undefined"
         )
     violations = [
@@ -191,7 +191,7 @@ def map_arma11_to_lear(tau: float, rho_a: float, d_range: float) -> tuple[float,
     """Inverse map on raw values: (tau, rho_a) to (rho_l, delta)."""
     if not (math.isfinite(d_range) and d_range > 0.0):
         raise DegenerateRange(
-            f"distance range must be positive (got {d_range!r})"
+            f"distance range must be finite and positive (got {d_range!r})"
         )
     if tau == 0.0:
         raise Unidentifiable(

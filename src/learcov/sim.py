@@ -245,7 +245,8 @@ class SimSpec:
     design matrices aligned with the templates. ``covariance`` decides the
     generating structure: LearParams builds distance-based matrices on the
     pooled grid of the realized subjects; Arma11Params builds position-based
-    matrices.
+    matrices. ``n_subjects`` is at most 10**6: simulation keeps every
+    subject's rows in memory.
     """
 
     n_subjects: int
@@ -260,8 +261,10 @@ class SimSpec:
             self.n_subjects, bool
         ):
             raise InvalidSize("n_subjects must be an integer")
-        if self.n_subjects < 1:
-            raise InvalidSize("n_subjects must be at least 1")
+        if not 1 <= self.n_subjects <= 10 ** 6:
+            raise InvalidSize(
+                f"n_subjects must be in [1, 1000000] (got {self.n_subjects!r})"
+            )
         raw_times = self.times
         if isinstance(raw_times, np.ndarray) and raw_times.ndim == 1:
             raw_times = (raw_times,)

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import learcov as lc
+from learcov import cli
 from learcov.cli import main
 from conftest import simulated_dataset
 
@@ -129,6 +130,56 @@ def test_reparam_verify_accepts_integer_ranges_only():
     bad = invoke("reparam", "--direction", "lear2arma", "--rho-l", "0.6",
                  "--delta", "2", "--range", "2.5", "--verify")
     assert bad.exit_code == 12
+
+
+def matrix_difference(lear, arma, R):
+    """What reparam --verify reported before it went lag by lag: the largest
+    entry of |LEAR - ARMA(1,1)| covariance on the unit grid of range R."""
+    grid = lc.normalize_grid(lc.build_grid([np.arange(1.0, R + 3.0)]))
+    return float(np.max(np.abs(
+        lc.lear_covariance(lear, grid, 0)
+        - lc.arma11_covariance(arma, grid.subject_times[0].size)
+    )))
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 7, 30, 257])
+def test_reparam_verify_keeps_the_matrix_bits(R):
+    for rho, second in [(0.0, 0.0), (0.05, 0.5), (0.3, 2.5), (0.6, 1.0),
+                        (0.97, 7.0), (0.6, 1e3)]:
+        lear = lc.LearParams(1.7, rho, second)
+        # rho_l = 0 maps to (0, 0), with a warning the CLI reports.
+        mapped = lc.map_lear_to_arma11(rho, second, R) if rho > 0 else (0.0, 0.0)
+        pairs = [(lear, lc.Arma11Params(1.7, *mapped))]
+        if rho > 0:
+            arma = lc.Arma11Params(0.9, rho, min(0.999, second / 8 + 0.01))
+            pairs.append((lc.LearParams(0.9, *lc.map_arma11_to_lear(
+                arma.tau, arma.rho_a, R)), arma))
+        # And a pair the maps do not relate, whose difference is large.
+        pairs.append((lear, lc.Arma11Params(1.7, 0.5, 0.3)))
+        for lear_p, arma_p in pairs:
+            got = cli._max_lag_difference(lear_p, arma_p, float(R))
+            assert got.hex() == matrix_difference(lear_p, arma_p, R).hex()
+
+
+@pytest.mark.parametrize("R", ["1e300", str(cli._VERIFY_MAX_RANGE + 1)])
+def test_reparam_verify_refuses_ranges_beyond_its_bound(R):
+    result = invoke("reparam", "--direction", "lear2arma", "--rho-l", "0.5",
+                    "--delta", "1", "--range", R, "--verify")
+    assert (result.exit_code, result.stdout) == (12, "E_INVALID_PARAMS\n")
+    assert str(cli._VERIFY_MAX_RANGE) in result.stderr
+    largest = payload_of(invoke(
+        "reparam", "--direction", "lear2arma", "--rho-l", "0.5", "--delta", "1",
+        "--range", str(cli._VERIFY_MAX_RANGE), "--verify"))
+    # Rounding only, though the powers reach lag 100001.
+    assert largest["max_matrix_difference"] < 1e-11
+
+
+@pytest.mark.parametrize("R", ["inf", "nan"])
+def test_reparam_names_a_non_finite_range(R):
+    result = invoke("reparam", "--direction", "lear2arma", "--rho-l", "0.5",
+                    "--delta", "1", "--range", R)
+    assert (result.exit_code, result.stdout) == (16, "E_DEGENERATE_RANGE\n")
+    assert "must be finite and positive" in result.stderr
 
 
 def test_reparam_surfaces_warnings():

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -547,8 +547,12 @@ def scan_points(data, parameterization, allow_negative=False):
 
 
 def outcomes(results):
-    """Log-likelihood bits, or the failure's type and message, per point."""
-    return [r.hex() if isinstance(r, float) else (type(r), str(r)) for r in results]
+    """Log-likelihood bits, or the failure's type and message, per point.
+
+    A point of _profile_points, (loglik, sigma2, La, u), is read by its
+    log-likelihood."""
+    return [(type(r), str(r)) if isinstance(r, Exception)
+            else (r[0] if isinstance(r, tuple) else r).hex() for r in results]
 
 
 def scan_cases():
@@ -580,14 +584,15 @@ def test_stacked_scan_matches_the_per_point_path(
     # One point at a time, as the refinement evaluates, gives the same.
     for k in range(0, len(points), 37):
         one = estimation._profile_points(prep, parameterization, criterion,
-                                         [a[k]], [b[k]], estimates=True)[0]
+                                         [a[k]], [b[k]])[0]
         if isinstance(one, Exception):
             assert outcomes([one]) == [want[k]]
             continue
         loglik, beta, sigma2 = per_point_profile(
             prep, parameterization, criterion, a[k], b[k])
         assert one[0].hex() == want[k] == loglik.hex()
-        assert one[1].tobytes() == beta.tobytes() and one[2] == sigma2
+        assert estimation._beta(prep, one[2], one[3]).tobytes() == beta.tobytes()
+        assert one[1] == sigma2
 
 
 def test_stacked_scan_meets_failures():
@@ -810,6 +815,59 @@ def test_the_scan_point_is_kept_when_the_refinement_ends_lower(monkeypatch):
     assert (res.iterations, res.converged) == (7, True)
 
 
+@pytest.mark.parametrize("parameterization", ["lear", "arma11"])
+def test_fit_evaluates_the_refined_point_once(monkeypatch, parameterization):
+    data = simulated_dataset(60, [1, 2, 3, 4], seed=7, rho_l=0.6, delta=1.0)
+    after_refinement = []
+    profile_points, nelder_mead = estimation._profile_points, estimation._nelder_mead
+
+    def counted(prep, param, criterion, a, b):
+        if after_refinement:
+            after_refinement.append(tuple(zip(a, b)))
+        return profile_points(prep, param, criterion, a, b)
+
+    def refinement(*args, **kwargs):
+        out = nelder_mead(*args, **kwargs)
+        after_refinement.append("done")
+        return out
+
+    monkeypatch.setattr(estimation, "_profile_points", counted)
+    monkeypatch.setattr(estimation, "_nelder_mead", refinement)
+    res = lc.fit(data, parameterization)
+    # The refinement wins here, and its point is the one evaluated.
+    assert res.max_loglik > res.scan_max_loglik
+    assert after_refinement == ["done", (astuple(res.estimates)[1:],)]
+    monkeypatch.undo()
+    assert lc.fit(data, parameterization).to_dict() == res.to_dict()
+
+
+def test_logit_box_maps_as_the_closures_it_replaced():
+    margin = 1e-8
+    for lo, hi in [(0.0, 0.99), (-0.99, 0.99), (0.0, 0.5), (-0.3, 0.7)]:
+        # The two maps that fit used to define for each scaled-logit axis.
+        def old_to(u):
+            return lo + (hi - lo) * estimation._expit(u)
+
+        def old_from(v):
+            width = hi - lo
+            v = min(max(v, lo + margin * width), hi - margin * width)
+            return estimation._logit((v - lo) / width)
+
+        to_box, from_box = estimation._logit_box(lo, hi, margin)
+        for u in [-800.0, -40.0, -3.0, -1e-9, 0.0, 0.1, 2.5, 37.0, 800.0]:
+            assert to_box(u).hex() == old_to(u).hex()
+        width = hi - lo
+        inside = [lo + f * width for f in (1e-6, 0.1, 0.3, 0.5, 0.65, 0.9, 0.999)]
+        for v in inside + [lo - 1.0, lo, hi, hi + 1.0, lo + 0.5 * margin * width]:
+            assert from_box(v).hex() == old_from(v).hex()
+        # Round trip inside the box; the ends clamp to margin * width inside.
+        for v in inside:
+            assert to_box(from_box(v)) == pytest.approx(v, rel=1e-12, abs=1e-15)
+        assert from_box(lo - 1.0) == from_box(lo) == from_box(lo + margin * width)
+        assert from_box(hi + 1.0) == from_box(hi) == from_box(hi - margin * width)
+        assert math.isfinite(from_box(lo)) and math.isfinite(from_box(hi))
+
+
 def test_fit_rejects_zero_distance_range():
     data = lc.RepeatedMeasuresData(
         (subject([1, 2], [0.4, 0.6]), subject([1, 2], [0.2, 0.9]))
@@ -837,6 +895,11 @@ def test_fit_fails_when_every_point_is_singular():
 def test_fit_options_are_validated():
     with pytest.raises(lc.InvalidParams):
         lc.FitOptions(grid_points=1)
+    # The scan keeps grid_points ** 2 results, so the grid is bounded.
+    assert lc.FitOptions(grid_points=201).grid_points == 201
+    for too_many in (202, 10 ** 8):
+        with pytest.raises(lc.InvalidParams, match=r"must be in \[2, 201\]"):
+            lc.FitOptions(grid_points=too_many)
     with pytest.raises(lc.InvalidParams):
         lc.FitOptions(rho_cap=1.0)
     with pytest.raises(lc.InvalidParams):
@@ -874,6 +937,23 @@ def test_an_overflowing_delta_cap_is_invalid_params(monkeypatch, factor):
         patch.setattr(estimation, "_Prepared", None)
         with pytest.raises(lc.InvalidParams, match="delta_cap_factor"):
             lc.fit(data, options=lc.FitOptions(delta_cap_factor=factor))
+
+
+@pytest.mark.parametrize("parameterization, options, name", [
+    ("lear", {"delta_cap_factor": 1e-320}, "delta_cap_factor"),
+    ("lear", {"rho_cap": 1e-320}, "rho_cap"),
+    ("arma11", {"rho_cap": 1e-320}, "rho_cap"),
+    ("arma11", {"rho_cap": 1e-320, "allow_negative": True}, "rho_cap"),
+])
+def test_a_box_too_narrow_to_refine_is_invalid_params(
+    monkeypatch, parameterization, options, name
+):
+    # The refinement clamps to 1e-8 of the box width inside its edges; a
+    # subnormal width leaves nothing to clamp to (it was a math domain error).
+    data = simulated_dataset(20, [1, 2, 3, 4], seed=5)
+    monkeypatch.setattr(estimation, "_Prepared", None)
+    with pytest.raises(lc.InvalidParams, match=f"^{name} .* outside the normal"):
+        lc.fit(data, parameterization, options=lc.FitOptions(**options))
 
 
 def test_the_arma11_box_ignores_the_delta_cap():

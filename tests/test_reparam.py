@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,13 @@ def test_zero_range_is_degenerate():
         lc.map_lear_to_arma11(0.5, 1.0, 0.0)
     with pytest.raises(lc.DegenerateRange):
         lc.map_arma11_to_lear(0.5, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("d_range", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_range_is_named_as_such(d_range):
+    for mapping in (lc.map_lear_to_arma11, lc.map_arma11_to_lear):
+        with pytest.raises(lc.DegenerateRange, match="must be finite and positive"):
+            mapping(0.5, 0.5, d_range)
 
 
 def test_two_point_grid_has_no_usable_range():

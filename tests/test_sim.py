@@ -184,7 +184,7 @@ def test_spec_wraps_a_single_template_array():
     assert np.array_equal(spec.times[0], TIMES)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, 10 ** 6 + 1, 2 ** 63, 10 ** 30])
 def test_spec_rejects_bad_subject_counts(bad):
     with pytest.raises(lc.InvalidSize):
         spec_of(n_subjects=bad)
