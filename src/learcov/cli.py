@@ -10,9 +10,14 @@ Values come from, in decreasing precedence: command-line flags, the
 --config key=value file, built-in defaults. Config keys mirror flag names
 ("grid-points" or "grid_points" both work); keys the invoked subcommand
 does not use are ignored so one file can serve several subcommands.
+
+Each subcommand imports the numerics it runs in its own body, so simulate
+never loads the estimation code and check-special-case neither it nor the
+simulator.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import sys
 import warnings
@@ -24,23 +29,8 @@ import numpy as np
 from . import __version__
 from ._jsonio import dumps
 from .core import Arma11Params, LearParams, build_grid, lear_covariance
-from .dataio import load_sim_spec, read_long_csv, write_long_csv
 from .errors import InvalidParams, LearcovError, ParseError
-from .estimation import (
-    CRITERIA,
-    PARAMETERIZATIONS,
-    FitOptions,
-    compare_parameterizations,
-    fit,
-)
-from .reparam import (
-    _canonical_range,
-    check_special_case,
-    map_arma11_to_lear,
-    map_lear_to_arma11,
-)
-from .sim import DESIGN_RULES
-from .sim import simulate as run_simulation
+from .model import CRITERIA, DESIGN_RULES, PARAMETERIZATIONS, FitOptions
 
 SCHEMA_VERSION = 1
 
@@ -133,6 +123,8 @@ def _fit_options(params: dict) -> FitOptions:
 
 
 def _load_data(params: dict):
+    from .dataio import read_long_csv
+
     return read_long_csv(
         _require_flag(params, "input_path", "--input"),
         subject_col=params["subject_col"],
@@ -142,25 +134,47 @@ def _load_data(params: dict):
     )
 
 
-class _Group(click.Group):
-    """The learcov command group: every subcommand fails with a token.
+# click 8.2 and later answer a bare ``learcov`` by raising this usage error,
+# which shows the help text; earlier versions show it and exit 0.
+_NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
-    A LearcovError, an OSError (as E_PARSE_ERROR) or a flag that click
-    cannot parse (as E_INVALID_PARAMS) becomes the error's token on stdout,
-    its message on stderr and its exit code.
+
+@contextlib.contextmanager
+def _tokens():
+    """End a LearcovError, an OSError or a usage error in its token.
+
+    An OSError becomes E_PARSE_ERROR and a flag that click cannot parse
+    E_INVALID_PARAMS. The token goes to stdout, the message to stderr, and
+    the process exits with the error's code. A bare ``learcov``, which
+    click answers with the help text, is left to click.
+    """
+    try:
+        yield
+    except _NO_ARGS_IS_HELP:
+        raise
+    except (LearcovError, OSError, click.UsageError) as exc:
+        if isinstance(exc, click.UsageError):
+            exc = InvalidParams(exc.format_message())
+        elif not isinstance(exc, LearcovError):
+            exc = ParseError(str(exc))
+        click.echo(type(exc).token)
+        click.echo(f"{type(exc).__name__}: {exc}", err=True)
+        sys.exit(type(exc).exit_code)
+
+
+class _Group(click.Group):
+    """The learcov command group: every fault ends in a token.
+
+    Its own options are parsed, and each subcommand runs, under _tokens.
     """
 
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        with _tokens():
+            return super().parse_args(ctx, args)
+
     def invoke(self, ctx: click.Context):
-        try:
+        with _tokens():
             return super().invoke(ctx)
-        except (LearcovError, OSError, click.UsageError) as exc:
-            if isinstance(exc, click.UsageError):
-                exc = InvalidParams(exc.format_message())
-            elif not isinstance(exc, LearcovError):
-                exc = ParseError(str(exc))
-            click.echo(type(exc).token)
-            click.echo(f"{type(exc).__name__}: {exc}", err=True)
-            sys.exit(type(exc).exit_code)
 
 
 @click.group(cls=_Group)
@@ -266,6 +280,8 @@ def _max_lag_difference(lear: LearParams, arma: Arma11Params, rng: float) -> flo
 )
 def reparam_cmd(p: dict) -> dict:
     """Map parameters between the distance and position forms."""
+    from .reparam import _canonical_range, map_arma11_to_lear, map_lear_to_arma11
+
     direction = _require_flag(p, "direction", "--direction")
     if (p["d_range"] is None) == (p["times"] is None):
         raise InvalidParams("give exactly one of --range or --times")
@@ -320,6 +336,8 @@ def reparam_cmd(p: dict) -> dict:
 @_command("check-special-case", *_INPUT_OPTIONS)
 def check_special_case_cmd(p: dict) -> dict:
     """Report whether a dataset's grid reduces to unit-spaced integers."""
+    from .reparam import check_special_case
+
     report = check_special_case(_load_data(p).grid)
     # The verdict first, then the flags behind it in field order.
     return {"eligible": report.eligible, **asdict(report)}
@@ -334,8 +352,11 @@ def check_special_case_cmd(p: dict) -> dict:
 )
 def simulate_cmd(p: dict) -> dict:
     """Draw a dataset from a JSON spec and write it as long-format CSV."""
+    from .dataio import load_sim_spec, write_long_csv
+    from .sim import simulate
+
     spec = load_sim_spec(_require_flag(p, "spec_path", "--spec"))
-    data = run_simulation(spec)
+    data = simulate(spec)
     write_long_csv(_require_flag(p, "out_path", "--out"), data)
     return {
         "n_subjects": data.n_subjects,
@@ -355,6 +376,8 @@ def simulate_cmd(p: dict) -> dict:
 )
 def fit_cmd(p: dict) -> dict:
     """Fit one covariance parameterization by profile ML or REML."""
+    from .estimation import fit
+
     return fit(
         _load_data(p),
         parameterization=p["parameterization"],
@@ -366,6 +389,8 @@ def fit_cmd(p: dict) -> dict:
 @_command("compare", *_INPUT_OPTIONS, *_FIT_OPTIONS)
 def compare_cmd(p: dict) -> dict:
     """Fit both parameterizations and report how well they agree."""
+    from .estimation import compare_parameterizations
+
     return compare_parameterizations(
         _load_data(p), criterion=p["criterion"], options=_fit_options(p)
     ).to_dict()

@@ -10,6 +10,10 @@ same dataset.
 A file is parsed one column at a time straight into the dataset's flat
 arrays. Only when that finds a fault are the rows walked one by one, to
 report the first bad row as a row-by-row reader would.
+
+The dataset type and the design rules come from learcov.model, so reading
+and writing CSV loads neither the estimation nor the simulation module;
+load_sim_spec imports sim for SimSpec when it is called.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,8 +34,10 @@ from .errors import (
     InvalidParams,
     ParseError,
 )
-from .estimation import RepeatedMeasuresData
-from .sim import DESIGN_RULES, SimSpec, rule_design
+from .model import DESIGN_RULES, RepeatedMeasuresData, rule_design
+
+if TYPE_CHECKING:
+    from .sim import SimSpec
 
 __all__ = [
     "read_long_csv",
@@ -87,8 +94,10 @@ def read_long_csv(
     subject.
 
     Raises:
-        ParseError: missing header/columns, short rows, or non-numeric
-            values, all reported with their row number (header is row 1).
+        ParseError: missing header/columns, short rows, non-numeric values,
+            or a row the csv module cannot read (such as a field over its
+            field size limit), all reported with their row number (header
+            is row 1).
         DuplicateMeasurement: repeated (subject, time) pair.
         DegenerateGrid: fewer than two measurements in the whole file.
     """
@@ -97,14 +106,16 @@ def read_long_csv(
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: a header row is required") from None
-        for name in names:
-            if name not in header:
-                raise ParseError(f"missing required column {name!r} in header")
-        positions = [header.index(name) for name in names]
-        records = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty file: a header row is required")
+            for name in names:
+                if name not in header:
+                    raise ParseError(f"missing required column {name!r} in header")
+            positions = [header.index(name) for name in names]
+            records = list(reader)
+        except csv.Error as exc:
+            raise ParseError(f"row {_csv_error_row(path)}: {exc}") from None
 
     rows = [row for row in records if row]
     if not rows:
@@ -125,6 +136,24 @@ def read_long_csv(
         X = rule_design(rule, t)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(rank))))
     return RepeatedMeasuresData._from_columns(t, values[1], X, offsets)
+
+
+def _csv_error_row(path) -> int:
+    """Number of the row at which csv.reader fails on ``path``.
+
+    Rows are counted as in every other message: the header is row 1, a
+    blank line is a row, and a quoted field may span lines. Only a failed
+    read calls this, so the file is read once more to count.
+    """
+    row = 1
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            # After each row read, row numbers the next: the one that fails.
+            for row, _ in enumerate(csv.reader(fh), start=2):
+                pass
+        except csv.Error:
+            pass
+    return row
 
 
 def _parse_columns(rows, positions):
@@ -278,6 +307,8 @@ def load_sim_spec(path) -> SimSpec:
     optional and defaults to "intercept". Unknown fields are rejected so
     typos fail loudly instead of silently using defaults.
     """
+    from .sim import SimSpec
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)

@@ -45,23 +45,10 @@ from .core import (
     validated_times,
 )
 from .errors import InvalidGrid, InvalidParams, InvalidSize
-from .estimation import RepeatedMeasuresData
+# DESIGN_RULES and rule_design are defined in model; both still resolve here.
+from .model import DESIGN_RULES, RepeatedMeasuresData, rule_design
 
 __all__ = ["SimSpec", "simulate", "standard_normals"]
-
-DESIGN_RULES = ("intercept", "intercept-time")
-
-
-def rule_design(rule: str, times: np.ndarray) -> np.ndarray:
-    """Design matrix that the named rule in DESIGN_RULES gives at ``times``.
-
-    "intercept" is one constant column; "intercept-time" adds the times.
-    """
-    if rule == "intercept":
-        return np.ones((times.size, 1))
-    if rule == "intercept-time":
-        return np.column_stack([np.ones(times.size), times])
-    raise InvalidParams(f"design must be one of {DESIGN_RULES} (got {rule!r})")
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:

@@ -39,6 +39,24 @@ def test_version_flag():
     assert "learcov" in result.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["--bogus"], ["-x", "fit"], ["--version=1"], ["--help=yes"], ["no-such-command"],
+])
+def test_malformed_group_flags_are_invalid_params(args):
+    result = invoke(*args)
+    assert (result.exit_code, result.stdout) == (12, "E_INVALID_PARAMS\n")
+    assert result.stderr.startswith("InvalidParams: ")
+
+
+def test_help_is_left_to_click():
+    usage = "Usage: main [OPTIONS] COMMAND [ARGS]..."
+    result = invoke("--help")
+    assert result.exit_code == 0 and result.stdout.startswith(usage)
+    # A bare learcov shows the help too; click chooses the stream and the
+    # exit code.
+    assert invoke().output.startswith(usage)
+
+
 def test_reparam_forward_example():
     out = payload_of(
         invoke("reparam", "--direction", "lear2arma",

@@ -87,6 +87,19 @@ def test_read_long_csv_rejects_short_rows(tmp_path):
         lc.read_long_csv(path)
 
 
+@pytest.mark.parametrize("text, row", [
+    # Over csv's default field size limit of 131072 characters.
+    ("subject,time,y\na,1,0.5\na,2," + "1" * 200_000 + "\n", 3),
+    ("subject,time," + "y" * 200_000 + "\na,1,0.5\n", 1),
+    # Row numbers count blank lines and rows whose quoted field spans lines.
+    ('subject,time,y\n"a\nb",1,0.5\n\na,2,"' + "1" * 200_000 + '"\n', 4),
+])
+def test_read_long_csv_reports_unreadable_rows(tmp_path, text, row):
+    assert len(text) < 2 ** 18  # the limit is not raised on the way
+    with pytest.raises(lc.ParseError, match=f"^row {row}: field larger than field limit"):
+        lc.read_long_csv(write(tmp_path, text))
+
+
 def test_read_long_csv_rejects_non_finite_values(tmp_path):
     path = write(tmp_path, "subject,time,y\na,1,inf\na,2,0.7\n")
     with pytest.raises(lc.ParseError, match="not finite"):

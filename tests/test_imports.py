@@ -1,11 +1,15 @@
-"""Which scipy modules each entry point loads, in fresh interpreters.
+"""Which modules each entry point loads, in fresh interpreters.
 
 Importing scipy takes longer than most commands take to run, and no command
 needs it: scipy is a test-only dependency, the oracle the ports are checked
-against. These tests read ``sys.modules`` after the import or the command,
+against. Nor does a command load learcov modules it does not run: simulate
+never loads the estimation code, and check-special-case neither that nor
+the simulator. ``import learcov`` itself loads no module until a name is
+used. These tests read ``sys.modules`` after the import or the command,
 never a wall-clock time, and run every command once more with scipy
 unimportable.
 """
+import importlib
 import json
 import os
 import subprocess
@@ -15,13 +19,14 @@ from pathlib import Path
 import pytest
 
 import learcov as lc
+from learcov import model
 from conftest import simulated_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # Imports learcov, then runs the command given as a JSON argument list (if
-# any) through CliRunner, and prints its exit code and the scipy modules
-# loaded.
+# any) through CliRunner, and prints its exit code and the scipy, numpy and
+# learcov modules loaded.
 CHILD = """
 import json, sys
 import learcov
@@ -36,7 +41,10 @@ if args:
         sys.stderr.write(result.output)
 print(json.dumps({
     "exit_code": exit_code,
-    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "modules": sorted(
+        m for m in sys.modules
+        if m.split(".")[0] in ("scipy", "numpy", "learcov")
+    ),
 }))
 """
 
@@ -50,15 +58,18 @@ def child_env():
     return env
 
 
-def scipy_loaded_by(args):
-    """(exit code, scipy modules loaded) of ``args`` in a fresh interpreter."""
+def loaded_by(args, package):
+    """(exit code, ``package`` modules loaded) of ``args`` in a fresh
+    interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(args)],
         capture_output=True, text=True, env=child_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    return out["exit_code"], set(out["scipy"])
+    return out["exit_code"], {
+        m for m in out["modules"] if m.split(".")[0] == package
+    }
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +95,7 @@ def files(tmp_path_factory):
 
 
 def test_import_learcov_loads_no_scipy():
-    assert scipy_loaded_by([]) == (None, set())
+    assert loaded_by([], "scipy") == (None, set())
 
 
 @pytest.mark.parametrize("args", [
@@ -96,12 +107,12 @@ def test_import_learcov_loads_no_scipy():
 ], ids=lambda args: args[0])
 def test_commands_that_never_fit_load_no_scipy(files, args):
     args = [a.format(**files) for a in args]
-    assert scipy_loaded_by(args) == (0, set())
+    assert loaded_by(args, "scipy") == (0, set())
 
 
 def test_simulate_loads_no_scipy(files):
-    assert scipy_loaded_by(
-        ["simulate", "--spec", files["spec"], "--out", files["out"]]
+    assert loaded_by(
+        ["simulate", "--spec", files["spec"], "--out", files["out"]], "scipy"
     ) == (0, set())
 
 
@@ -112,7 +123,7 @@ def test_simulate_loads_no_scipy(files):
 ], ids=["fit", "fit-arma11-reml", "compare"])
 def test_fit_and_compare_load_no_scipy(files, args):
     args = [a.format(**files) for a in args]
-    assert scipy_loaded_by(args) == (0, set())
+    assert loaded_by(args, "scipy") == (0, set())
 
 
 REFUSE_SCIPY = """
@@ -168,3 +179,72 @@ def test_commands_run_without_scipy(files, args):
     blocked = cli_run(args, refuse_scipy=True, out=out)
     assert blocked[0] == 0
     assert blocked == cli_run(args, refuse_scipy=False, out=out)
+
+
+# --------------------------------------------------------------------------
+# learcov's own modules
+
+# What every subcommand loads besides the package: the CLI and what the CLI
+# names before a command runs.
+CLI_MODULES = {"cli", "_jsonio", "core", "errors", "model"}
+
+
+@pytest.mark.parametrize("args, runs", [
+    (["build-matrix", "--times", "1,2,3", "--rho-l", "0.5", "--delta", "1"],
+     set()),
+    (["reparam", "--direction", "lear2arma", "--times", "1,2,3",
+      "--rho-l", "0.6", "--delta", "2"], {"reparam"}),
+    (["check-special-case", "--input", "{csv}"], {"dataio", "reparam"}),
+    (["simulate", "--spec", "{spec}", "--out", "{out}"], {"dataio", "sim"}),
+    (["fit", "--input", "{csv}"], {"dataio", "estimation"}),
+    (["fit", "--input", "{csv}", "--param", "arma11"],
+     {"dataio", "estimation", "reparam"}),
+    (["compare", "--input", "{csv}"], {"dataio", "estimation", "reparam"}),
+], ids=["build-matrix", "reparam", "check-special-case", "simulate", "fit",
+        "fit-arma11", "compare"])
+def test_each_command_loads_only_the_modules_it_runs(files, args, runs):
+    # So simulate loads neither estimation nor reparam, check-special-case
+    # neither estimation nor sim, and fit no sim.
+    args = [a.format(**files) for a in args]
+    expected = {"learcov", *(f"learcov.{m}" for m in CLI_MODULES | runs)}
+    assert loaded_by(args, "learcov") == (0, expected)
+
+
+def test_import_learcov_loads_no_module_of_its_own_and_no_numpy():
+    assert loaded_by([], "learcov") == (None, {"learcov"})
+    assert loaded_by([], "numpy") == (None, set())
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    assert lc.__all__ == ["__version__", *lc._MODULE_OF]
+    for name, module in lc._MODULE_OF.items():
+        value = getattr(lc, name)
+        assert value.__module__ == f"learcov.{module}", name
+        assert value is getattr(importlib.import_module(value.__module__), name)
+
+
+def test_star_import_gives_the_public_names():
+    namespace = {}
+    exec("from learcov import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(lc.__all__)
+    assert all(namespace[name] is getattr(lc, name) for name in namespace)
+
+
+def test_unknown_names_are_attribute_errors():
+    assert not hasattr(lc, "no_such_name")
+    assert set(lc._MODULE_OF) <= set(dir(lc))
+
+
+@pytest.mark.parametrize("old, name", [
+    ("estimation", "SubjectData"),
+    ("estimation", "RepeatedMeasuresData"),
+    ("estimation", "FitOptions"),
+    ("estimation", "CRITERIA"),
+    ("estimation", "PARAMETERIZATIONS"),
+    ("sim", "DESIGN_RULES"),
+    ("sim", "rule_design"),
+])
+def test_moved_names_resolve_at_their_old_paths(old, name):
+    module = importlib.import_module(f"learcov.{old}")
+    assert getattr(module, name) is getattr(model, name)
