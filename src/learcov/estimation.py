@@ -28,10 +28,10 @@ per-subject products: the value math.fsum gives, computed by exponent bins
 one G per pattern, batched over the patterns of equal length, and the q x q
 tail solves for the profiled optima. Its cost grows with the number of
 distinct time patterns, not of subjects; with per-subject times every
-subject is its own pattern. The grid scan evaluates all its points as one
-batch. Pattern terms and log determinants are again summed exactly
-(math.fsum) across patterns, so results are bit-identical under any
-reordering of the subjects. The responses are
+subject is its own pattern. The grid scan evaluates its points in stacked
+chunks and keeps only the best one. Pattern terms and log determinants are
+again summed exactly (math.fsum) across patterns, so results are
+bit-identical under any reordering of the subjects. The responses are
 centred on an identity-weight least-squares fit beta0 before C is built: the
 residual quadratic form is then a difference of small numbers rather than
 of two large ones, which keeps it accurate near a perfect fit.
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -386,15 +387,16 @@ _STACK_CHUNK = 1 << 17
 
 
 def _profile_points(prep: _Prepared, parameterization: str, criterion: str,
-                    a, b) -> list:
+                    a, b) -> Iterator:
     """Profiled log-likelihood at each parameter point (a[k], b[k]), in order.
 
-    Returns one entry per point: the (loglik, sigma2_hat, La, u) of _tail,
+    Yields one entry per point: the (loglik, sigma2_hat, La, u) of _tail,
     or the NotPositiveDefinite or SingularFit that the point fails with.
     RankDeficient and InvalidSize are raised at the first point, in order,
     that meets them. A chunk of points goes through _factor_stage as one
     stack per pattern length; its inverses are contracted with the pattern
-    tensors C, and _tail finishes each point.
+    tensors C, and _tail finishes each point. Chunks are evaluated as they
+    are consumed, so a scan holds one chunk's results at a time.
     """
     q, M = prep.q, prep.M
     if criterion == "reml" and M <= q:
@@ -405,7 +407,6 @@ def _profile_points(prep: _Prepared, parameterization: str, criterion: str,
     b = np.asarray(b, dtype=float)
     per_point = sum(times.size * times.shape[1] for times, _, _ in prep.groups)
     step = max(1, _STACK_CHUNK // per_point)
-    results = []
     for lo in range(0, a.size, step):
         # The failures first, then each None filled by the tail.
         alive, inverses, logdets, chunk = _factor_stage(
@@ -424,8 +425,7 @@ def _profile_points(prep: _Prepared, parameterization: str, criterion: str,
                 if not ok:
                     raise _overflow()
                 chunk[k] = _tail(prep, criterion, cols, point_logdets)
-        results.extend(chunk)
-    return results
+        yield from chunk
 
 
 def _factor_stage(prep: _Prepared, parameterization: str, a, b):
@@ -570,7 +570,7 @@ def profile_estimates(
     if violations:
         raise InvalidParams("; ".join(violations))
     prep = _Prepared(data)
-    result = _profile_points(prep, parameterization, criterion, [a], [b])[0]
+    (result,) = _profile_points(prep, parameterization, criterion, [a], [b])
     if isinstance(result, Exception):
         raise result
     loglik, sigma2, La, u = result
@@ -814,13 +814,14 @@ def fit(
     prep = _Prepared(data)
 
     def profile_at(a: float, b: float):  # a _tail tuple, or the failure
-        return _profile_points(prep, parameterization, criterion, [a], [b])[0]
+        (result,) = _profile_points(prep, parameterization, criterion, [a], [b])
+        return result
 
     axis1 = np.linspace(lo1, opts.rho_cap, opts.grid_points)
     axis2 = np.linspace(lo2, cap2, opts.grid_points)
 
-    # The whole scan in one evaluation, first parameter outermost; ties are
-    # broken by the smaller second then first parameter.
+    # The whole scan, first parameter outermost, keeping only the best point;
+    # ties are broken by the smaller second then first parameter.
     grid_a, grid_b = (
         v.ravel().tolist() for v in np.meshgrid(axis1, axis2, indexing="ij")
     )

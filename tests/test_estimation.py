@@ -583,8 +583,8 @@ def test_stacked_scan_matches_the_per_point_path(
     assert got == want
     # One point at a time, as the refinement evaluates, gives the same.
     for k in range(0, len(points), 37):
-        one = estimation._profile_points(prep, parameterization, criterion,
-                                         [a[k]], [b[k]])[0]
+        (one,) = estimation._profile_points(prep, parameterization, criterion,
+                                            [a[k]], [b[k]])
         if isinstance(one, Exception):
             assert outcomes([one]) == [want[k]]
             continue
@@ -629,7 +629,7 @@ def test_stacked_scan_raises_rank_deficiency_where_the_per_point_path_does():
     got = estimation._profile_points(prep, "lear", "ml", a[:k], b[:k])
     assert outcomes(got) == outcomes(want)
     with pytest.raises(lc.RankDeficient):
-        estimation._profile_points(prep, "lear", "ml", a[:k + 1], b[:k + 1])
+        list(estimation._profile_points(prep, "lear", "ml", a[:k + 1], b[:k + 1]))
     with pytest.raises(lc.RankDeficient):
         lc.fit(data)
 
@@ -648,12 +648,43 @@ def test_stacked_scan_memory_stays_bounded():
     assert 441 * 3840 > 10 * estimation._STACK_CHUNK
     tracemalloc.start()
     try:
-        got = estimation._profile_points(prep, "lear", "ml", a, b)
+        got = list(estimation._profile_points(prep, "lear", "ml", a, b))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(got) == 441
     assert peak < 8 * 8 * estimation._STACK_CHUNK  # 8 MB
+
+
+def test_the_scan_is_evaluated_as_it_is_read(monkeypatch):
+    # A chunk is factored when its first point is read, so fit, which keeps
+    # only the best point, holds one chunk's results at a time. Chunks of
+    # 100 points give the same points and the same fit.
+    data = pattern_dataset(UNIT_PATTERNS, 1)
+    prep = _Prepared(data)
+    a, b = zip(*scan_points(data, "lear"))
+    want = outcomes(estimation._profile_points(prep, "lear", "ml", a, b))
+    fitted = lc.fit(data).to_dict()
+    chunks = []
+    factor_stage = estimation._factor_stage
+
+    def counted(prep, parameterization, a, b):
+        chunks.append(len(a))
+        return factor_stage(prep, parameterization, a, b)
+
+    per_point = sum(times.size * times.shape[1] for times, _, _ in prep.groups)
+    monkeypatch.setattr(estimation, "_STACK_CHUNK", 100 * per_point)
+    monkeypatch.setattr(estimation, "_factor_stage", counted)
+    points = estimation._profile_points(prep, "lear", "ml", a, b)
+    assert chunks == []
+    got = [next(points) for _ in range(100)]
+    assert chunks == [100]
+    got.append(next(points))
+    assert chunks == [100, 100]
+    got.extend(points)
+    assert chunks == [100, 100, 100, 100, 41]
+    assert outcomes(got) == want
+    assert lc.fit(data).to_dict() == fitted
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-5, 1e-7])
