@@ -150,8 +150,10 @@ def _tokens():
 
     An OSError becomes E_PARSE_ERROR and a flag that click cannot parse
     E_INVALID_PARAMS. The token goes to stdout, the message to stderr, and
-    the process exits with the error's code. A bare ``learcov``, which
-    click answers with the help text, is left to click.
+    the process exits with the error's code. When stdout fails (a full
+    device), the token is left out; when its reader has gone, click ends
+    the program with status 1. A bare ``learcov``, which click answers with
+    the help text, is left to click.
     """
     try:
         yield
@@ -162,7 +164,12 @@ def _tokens():
             exc = InvalidParams(exc.format_message())
         elif not isinstance(exc, LearcovError):
             exc = ParseError(str(exc))
-        click.echo(type(exc).token)
+        try:
+            click.echo(type(exc).token)
+        except BrokenPipeError:
+            raise  # the reader has gone: click ends the program quietly
+        except OSError:
+            pass  # stdout fails; the message below still goes out
         click.echo(f"{type(exc).__name__}: {exc}", err=True)
         sys.exit(type(exc).exit_code)
 
@@ -341,9 +348,11 @@ def reparam_cmd(p: dict) -> dict:
 @_command("check-special-case", *_INPUT_OPTIONS)
 def check_special_case_cmd(p: dict) -> dict:
     """Report whether a dataset's grid reduces to unit-spaced integers."""
-    from .reparam import check_special_case
+    from .reparam import _special_case
 
-    report = check_special_case(_load_data(p).grid)
+    # The dataset's pattern table, without the per-subject grid.
+    data = _load_data(p)
+    report = _special_case(data._patterns, data._extremes()[0])
     # The verdict first, then the flags behind it in field order.
     return {"eligible": report.eligible, **asdict(report)}
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,11 @@ class MeasurementGrid:
     def n_measurements(self, subject_index: int) -> int:
         return len(self.subject_times[subject_index])
 
+    @cached_property
+    def _patterns(self) -> _Patterns:
+        """The distinct time patterns of the subjects (see _Patterns)."""
+        return _Patterns.of(self.subject_times)
+
 
 def validated_times(seq, label: str = "times") -> np.ndarray:
     """Read-only float copy of one measurement-time vector.
@@ -147,36 +153,90 @@ def build_grid(
     return _pooled_grid(vectors, d_min, d_max)
 
 
-def _distinct_patterns(vectors) -> list[np.ndarray]:
-    """The distinct time vectors with two or more times, in first-appearance order.
+class _Patterns:
+    """The distinct time vectors of a set of subjects, found once with numpy.
 
-    Subjects of a design share a few time patterns, so a check that depends
-    only on the set of within-subject distances runs once per pattern
-    instead of once per subject. Vectors are compared by their bytes.
+    Built from flat times and subject offsets, as a dataset stores them.
+    Subjects share a pattern when their times have the same bytes, so 0.0
+    and -0.0 differ. Patterns are numbered by first appearance: ``first[n]``
+    is the first subject with pattern n and ``ids[i]`` the pattern of
+    subject i. ``stacks`` maps each length p, ascending, to the numbers
+    (P,) and read-only times (P, p) of the patterns of that length, in the
+    byte order of their times. ``extremes`` is the smallest gap and the
+    largest span over the patterns with two or more times, or None when
+    there is none.
     """
-    patterns: dict[bytes, np.ndarray] = {}
-    for t in vectors:
-        if t.size > 1:
-            patterns.setdefault(t.tobytes(), t)
-    return list(patterns.values())
+
+    def __init__(self, times: np.ndarray, offsets: np.ndarray) -> None:
+        sizes = np.diff(offsets)
+        found, firsts = [], []
+        for p in np.flatnonzero(np.bincount(sizes)).tolist():
+            members = np.flatnonzero(sizes == p)
+            rows = times[offsets[members, None] + np.arange(p)]
+            # np.unique sorts the rows as bytes. Asked for no index, it would
+            # also import numpy.ma.
+            _, at, inverse = np.unique(
+                rows.view(np.dtype((np.void, rows.itemsize * p)))[:, 0],
+                return_index=True, return_inverse=True,
+            )
+            found.append((p, members, rows[at], inverse))
+            firsts.append(members[at])
+        first = np.concatenate(firsts)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(order.size)
+        self.first = first[order]
+        self.ids = np.empty(sizes.size, dtype=np.intp)
+        self.stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        start = 0
+        for p, members, stack, inverse in found:
+            numbers = number[start:start + len(stack)]
+            start += len(stack)
+            self.ids[members] = numbers[inverse]
+            stack.setflags(write=False)
+            self.stacks[p] = (numbers, stack)
+
+    @classmethod
+    def of(cls, vectors) -> "_Patterns":
+        """The table of a sequence of 1-d float time vectors."""
+        return cls(np.concatenate(vectors), np.cumsum([0, *map(len, vectors)]))
+
+    @cached_property
+    def times(self) -> tuple[np.ndarray, ...]:
+        """Each pattern's times, in order of first appearance."""
+        out = [None] * self.first.size
+        for numbers, stack in self.stacks.values():
+            for n, t in zip(numbers.tolist(), stack):
+                out[n] = t
+        return tuple(out)
+
+    @cached_property
+    def extremes(self) -> tuple[float, float] | None:
+        multi = [stack for p, (_, stack) in self.stacks.items() if p > 1]
+        if not multi:
+            return None
+        return (float(min(np.diff(stack, axis=1).min() for stack in multi)),
+                float(max((stack[:, -1] - stack[:, 0]).max() for stack in multi)))
 
 
 def _pooled_grid(
-    vectors, d_min: float | None = None, d_max: float | None = None
+    vectors,
+    d_min: float | None = None,
+    d_max: float | None = None,
+    patterns: _Patterns | None = None,
 ) -> MeasurementGrid:
     """Grid over already validated read-only time vectors, kept uncopied.
 
     Pools the distance extremes and checks the overrides as
     :func:`build_grid` documents; the vectors must come from
-    :func:`validated_times` or an equivalent check.
+    :func:`validated_times` or an equivalent check. ``patterns`` is the
+    vectors' pattern table when the caller has it, and becomes the grid's.
     """
-    observed_min = math.inf
-    observed_max = -math.inf
-    for t in _distinct_patterns(vectors):
-        observed_min = min(observed_min, float(np.min(np.diff(t))))
-        observed_max = max(observed_max, float(t[-1] - t[0]))
-    if not math.isfinite(observed_min):
+    if patterns is None:
+        patterns = _Patterns.of(vectors)
+    if patterns.extremes is None:
         raise DegenerateGrid("no subject has two measurements; no distance is defined")
+    observed_min, observed_max = patterns.extremes
 
     if d_min is None:
         d_min = observed_min
@@ -192,7 +252,9 @@ def _pooled_grid(
             f"d_max override {d_max!r} must be at least the observed "
             f"maximum distance {observed_max!r}"
         )
-    return MeasurementGrid(tuple(vectors), float(d_min), float(d_max))
+    grid = MeasurementGrid(tuple(vectors), float(d_min), float(d_max))
+    grid.__dict__["_patterns"] = patterns  # the cached property, found already
+    return grid
 
 
 def validate_lear_values(sigma2: float, rho_l: float, delta: float) -> list[str]:

@@ -11,6 +11,10 @@ A file is parsed one column at a time straight into the dataset's flat
 arrays. Only when that finds a fault are the rows walked one by one, to
 report the first bad row as a row-by-row reader would.
 
+A file is written a block of rows (_WRITE_BLOCK) at a time, each block
+formatted by one % call. Each distinct time is formatted once and each
+subject id quoted once; only y is formatted per row.
+
 The dataset type and the design rules come from learcov.model, so reading
 and writing CSV loads neither the estimation nor the simulation module;
 load_sim_spec imports sim for SimSpec when it is called.
@@ -21,6 +25,7 @@ import csv
 import io
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import asdict, fields
 from typing import TYPE_CHECKING
@@ -48,6 +53,9 @@ __all__ = [
 ]
 
 SIM_SPEC_SCHEMA_VERSION = 1
+
+# Characters that can make csv.writer quote a field.
+_NEEDS_WRITER = re.compile('[,"\r\n]')
 
 
 def _parse_number(text: str, row: int, column: str) -> float:
@@ -237,28 +245,47 @@ def write_long_csv(path, data: RepeatedMeasuresData, subject_ids=None) -> None:
             )
     ids = np.repeat(np.array(_csv_fields(subject_ids), dtype=object),
                     np.diff(data.offsets))
-    rows = map("%s,%.17g,%.17g\n".__mod__,
-               zip(ids.tolist(), data.times.tolist(), data.y.tolist()))
+    # Each distinct time is formatted once, keyed by its bits: -0.0 and 0.0
+    # stay apart.
+    bits, inverse = np.unique(data.times.view(np.uint64), return_inverse=True)
+    times = np.array(["%.17g" % t for t in bits.view(float).tolist()],
+                     dtype=object)
+    fields = np.empty((data.n_obs, 3), dtype=object)
+    fields[:, 0] = ids
+    fields[:, 1] = times[inverse]
+    fields[:, 2] = data.y.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("subject,time,y\n" + "".join(rows))
+        fh.write("subject,time,y\n")
+        for lo in range(0, data.n_obs, _WRITE_BLOCK):
+            block = fields[lo:lo + _WRITE_BLOCK]
+            fh.write("%s,%s,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
+
+
+# Rows formatted by one % call; bounds the text held at once.
+_WRITE_BLOCK = 1 << 16
 
 
 def _csv_fields(values: list[str]) -> list[str]:
     """Each value as csv.writer writes it as the first of several fields.
 
-    Quoting follows the writer's dialect. Each value is written with an
-    empty second field, which is then cut off: alone in its row, an empty
-    value would be written as "".
+    Only a value that is empty or holds a comma, a quote, a carriage return
+    or a newline goes to the writer; any other is written as it is. Quoting
+    follows the writer's dialect. Each value is written with an empty
+    second field, which is then cut off: alone in its row, an empty value
+    would be written as "".
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    spans = []
+    out = []
     for value in values:
-        start = buf.tell()
+        if value and not _NEEDS_WRITER.search(value):
+            out.append(value)
+            continue
+        buf.seek(0)
+        buf.truncate()
         writer.writerow((value, ""))
-        spans.append((start, buf.tell() - 2))  # without the trailing ",\n"
-    text = buf.getvalue()
-    return [text[a:b] for a, b in spans]
+        out.append(buf.getvalue()[:-2])  # without the trailing ",\n"
+    return out
 
 
 def _require(mapping: dict, key: str, context: str):

@@ -123,7 +123,8 @@ class _Prepared:
     of pattern n, with Z_i = [X_i | y_i - X_i beta0]. Every entry of C is
     an exactly rounded sum, and ``beta0`` solves the exactly summed
     identity-weight normal equations, so the workspace does not depend on
-    subject order. Patterns are kept sorted by their times for the same
+    subject order. The patterns of a length are kept in the byte order of
+    their times, as the dataset's pattern table holds them, for the same
     reason. Nothing per subject is kept.
 
     C holds (p(q+1))^2 numbers per pattern against m p(q+1) for the
@@ -140,22 +141,20 @@ class _Prepared:
             _exact_gram(Xt, data.y[None, :])[:, 0],
         )
 
-        # Each pattern's subjects by the first row they own.
-        by_pattern: dict[tuple[int, bytes], list[int]] = {}
-        for a, b in data._bounds():
-            by_pattern.setdefault((b - a, data.times[a:b].tobytes()), []).append(a)
-        by_length: dict[int, list[list[int]]] = {}
-        for (p, _), starts in sorted(by_pattern.items()):
-            by_length.setdefault(p, []).append(starts)
+        # Each pattern's subjects by the first row they own, in subject order.
+        patterns = data._patterns
+        counts = np.bincount(patterns.ids)
+        starts = np.split(data.offsets[np.argsort(patterns.ids, kind="stable")],
+                          np.cumsum(counts)[:-1])
 
         ZY = np.column_stack([data.X, data.y])
         self.groups = []
-        for p, patterns in sorted(by_length.items()):
-            C = np.empty((len(patterns), p, p, q + 1, q + 1))
-            for n, starts in enumerate(patterns):
-                m = len(starts)
+        for p, (numbers, times) in patterns.stacks.items():
+            C = np.empty((len(numbers), p, p, q + 1, q + 1))
+            for n, first_rows in enumerate(starts[k] for k in numbers.tolist()):
+                m = len(first_rows)
                 # Z[i] = [X_i | y_i] of the pattern's i-th subject.
-                Z = ZY[np.add.outer(starts, np.arange(p))]
+                Z = ZY[np.add.outer(first_rows, np.arange(p))]
                 # Elementwise, so each residual is rounded the same way
                 # wherever its subject sits in the data.
                 for a in range(q):
@@ -163,15 +162,12 @@ class _Prepared:
                 gram = _exact_gram(np.ascontiguousarray(Z.reshape(m, -1).T))
                 C[n] = gram.reshape(p, q + 1, p, q + 1).transpose(0, 2, 1, 3)
             self.groups.append((
-                np.array([data.times[s[0]:s[0] + p] for s in patterns]),
-                np.array([len(starts) for starts in patterns]),
-                C.reshape(len(patterns), p * p, (q + 1) ** 2),
+                times,
+                counts[numbers],
+                C.reshape(len(numbers), p * p, (q + 1) ** 2),
             ))
-        if data._grid is not None:
-            self.d_min, self.d_max = data._grid.d_min, data._grid.d_max
-        else:
-            # Never consulted: every pattern is a single measurement.
-            self.d_min = self.d_max = 1.0
+        # Never consulted when every pattern is a single measurement.
+        self.d_min, self.d_max = patterns.extremes or (1.0, 1.0)
 
 
 # Products summed per _exact_row_sums call; bounds the temporaries of
@@ -774,8 +770,8 @@ def fit(
     """
     _check_choices(criterion, parameterization)
     opts = options or FitOptions()
-    grid = data.grid
-    d_range = grid.d_max - grid.d_min
+    d_min, d_max = data._extremes()
+    d_range = d_max - d_min
     if d_range <= 0.0:
         which = "delta" if parameterization == "lear" else "rho_a"
         raise DegenerateRange(
@@ -785,7 +781,7 @@ def fit(
     if parameterization == "arma11":
         from . import reparam
 
-        report = reparam.check_special_case(grid)
+        report = reparam._special_case(data._patterns, d_min)
         if not report.eligible:
             raise NotSpecialCase(
                 "ARMA(1,1) fitting needs a grid reducible to unit-spaced "

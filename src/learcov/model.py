@@ -18,7 +18,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .core import MeasurementGrid, _pooled_grid, validated_times
+from .core import MeasurementGrid, _Patterns, _pooled_grid, validated_times
 from .errors import DegenerateGrid, InvalidParams, InvalidSize, RankDeficient
 
 __all__ = [
@@ -93,7 +93,8 @@ class RepeatedMeasuresData:
     design rows lie end to end in the read-only arrays ``times`` (n_obs,),
     ``y`` (n_obs,) and ``X`` (n_obs, q), and subject i owns the rows
     offsets[i]:offsets[i + 1]. ``subjects`` gives the same data as one
-    SubjectData per subject, views of these arrays built on first access.
+    SubjectData per subject, and ``grid`` the times as a MeasurementGrid;
+    both are views of these arrays built on first access.
 
     The stacked design matrix must have full column rank q. Subjects may have
     different numbers of measurements; missing visits simply shorten a
@@ -145,12 +146,6 @@ class RepeatedMeasuresData:
             raise RankDeficient(
                 f"stacked design matrix has rank below its {X.shape[1]} columns"
             )
-        if (np.diff(offsets) > 1).any():
-            # Views of the frozen flat times; the grid copies nothing.
-            g = _pooled_grid([times[a:b] for a, b in self._bounds()])
-        else:
-            g = None
-        object.__setattr__(self, "_grid", g)
 
     def _bounds(self) -> list[tuple[int, int]]:
         """(start, stop) of each subject's rows, in subject order."""
@@ -164,13 +159,28 @@ class RepeatedMeasuresData:
             for a, b in self._bounds()
         )
 
-    @property
-    def grid(self) -> MeasurementGrid:
-        if self._grid is None:
+    @cached_property
+    def _patterns(self) -> _Patterns:
+        """The subjects' distinct time patterns, found once per dataset."""
+        return _Patterns(self.times, self.offsets)
+
+    def _extremes(self) -> tuple[float, float]:
+        """The grid's (d_min, d_max), read from the pattern table."""
+        if self._patterns.extremes is None:
             raise DegenerateGrid(
                 "every subject has a single measurement; no distance is defined"
             )
-        return self._grid
+        return self._patterns.extremes
+
+    @cached_property
+    def grid(self) -> MeasurementGrid:
+        """The measurement grid, built on first access.
+
+        Its times are views of the frozen flat times, so it copies nothing.
+        """
+        self._extremes()  # a dataset without distances has no grid
+        return _pooled_grid([self.times[a:b] for a, b in self._bounds()],
+                            patterns=self._patterns)
 
     @property
     def n_subjects(self) -> int:

@@ -32,7 +32,7 @@ from .core import (
     Arma11Params,
     LearParams,
     MeasurementGrid,
-    _distinct_patterns,
+    _Patterns,
     _pooled_grid,
     validated_times,
 )
@@ -86,20 +86,33 @@ def check_special_case(
     checked once however many subjects share it. The first subject with two
     measurements fixes the gap h that every other gap is compared with.
     """
-    patterns = _distinct_patterns(grid.subject_times)
-    gaps = np.concatenate([np.diff(t) for t in patterns])
-    h = float(gaps[0])
+    return _special_case(grid._patterns, grid.d_min, rel_tol)
+
+
+# Patterns whose distances are checked at once: bounds the temporaries
+# whatever the number of patterns.
+_CHECK_CHUNK = 1 << 12
+
+
+def _special_case(
+    patterns: _Patterns, d_min: float, rel_tol: float = DEFAULT_REL_TOL
+) -> SpecialCaseReport:
+    """check_special_case of a grid with pattern table ``patterns``."""
+    stacks = [stack for p, stack in patterns.stacks.items() if p > 1]
+    # The first subject with two times has the lowest-numbered such pattern.
+    numbers, stack = min(stacks, key=lambda s: s[0].min())
+    first = stack[numbers.argmin()]
+    h = float(first[1] - first[0])
+    gaps = np.concatenate([np.diff(stack, axis=1).ravel() for _, stack in stacks])
     equally_spaced = bool(np.all(np.abs(gaps - h) <= rel_tol * abs(h)))
 
     scale = h if equally_spaced else 1.0
-    integer_distances = True
-    for t in patterns:
-        d = np.abs(t[:, None] - t[None, :])
-        s = d[np.triu_indices(t.size, k=1)] / scale
-        if not np.all(np.abs(s - np.round(s)) <= rel_tol * np.maximum(1.0, np.abs(s))):
-            integer_distances = False
-            break
-    scaled_dmin = grid.d_min / scale
+    integer_distances = all(
+        _whole_distances(stack[lo:lo + _CHECK_CHUNK], scale, rel_tol)
+        for _, stack in stacks
+        for lo in range(0, len(stack), _CHECK_CHUNK)
+    )
+    scaled_dmin = d_min / scale
     dmin_is_one = abs(scaled_dmin - 1.0) <= rel_tol
 
     return SpecialCaseReport(
@@ -109,6 +122,14 @@ def check_special_case(
         spacing=h if equally_spaced else None,
         eligible=equally_spaced and integer_distances and dmin_is_one,
     )
+
+
+def _whole_distances(stack: np.ndarray, scale: float, rel_tol: float) -> bool:
+    """Whether every within-row distance of ``stack`` is a whole number of
+    ``scale``."""
+    j, k = np.triu_indices(stack.shape[1], k=1)
+    s = (stack[:, k] - stack[:, j]) / scale
+    return bool(np.all(np.abs(s - np.round(s)) <= rel_tol * np.maximum(1.0, np.abs(s))))
 
 
 def normalize_grid(
@@ -129,19 +150,16 @@ def normalize_grid(
     if not report.equally_spaced:
         raise NotSpecialCase("consecutive gaps differ; no common spacing exists")
     h = report.spacing
-    unit: dict[bytes, np.ndarray] = {}
-    new_times = []
-    for i, t in enumerate(grid.subject_times):
-        key = t.tobytes()
-        if key not in unit:
-            anchor = float(np.round(t[0] / h))
-            # Validated as build_grid would: a huge anchor can swallow the
-            # unit steps.
-            unit[key] = validated_times(
-                anchor + np.arange(t.size, dtype=float), f"subject {i}: times"
-            )
-        new_times.append(unit[key])
-    return replace(_pooled_grid(new_times), spacing=h)
+    patterns = grid._patterns
+    # Validated as build_grid would: a huge anchor can swallow the unit
+    # steps. Patterns go in order of first appearance, so the first subject
+    # that fails is named.
+    unit = [
+        validated_times(float(np.round(t[0] / h)) + np.arange(t.size, dtype=float),
+                        f"subject {i}: times")
+        for i, t in zip(patterns.first.tolist(), patterns.times)
+    ]
+    return replace(_pooled_grid([unit[n] for n in patterns.ids.tolist()]), spacing=h)
 
 
 def _canonical_range(grid: MeasurementGrid) -> float:

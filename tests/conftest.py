@@ -167,6 +167,21 @@ def per_subject_special_case(grid, rel_tol=1e-9) -> lc.SpecialCaseReport:
     )
 
 
+def per_subject_patterns(vectors) -> tuple[list[np.ndarray], list[int]]:
+    """The distinct time vectors in first-appearance order, and the pattern
+    number of each vector, found vector by vector with ``tobytes``: the
+    per-subject scan that the dataset's pattern table replaces.
+    """
+    numbers: dict[bytes, int] = {}
+    patterns, ids = [], []
+    for t in vectors:
+        if t.tobytes() not in numbers:
+            numbers[t.tobytes()] = len(patterns)
+            patterns.append(t)
+        ids.append(numbers[t.tobytes()])
+    return patterns, ids
+
+
 def per_subject_extremes(vectors) -> tuple[float, float]:
     """Smallest gap and largest span over every subject with two times."""
     observed_min, observed_max = math.inf, -math.inf

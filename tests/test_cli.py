@@ -312,6 +312,38 @@ def test_commands_build_no_per_subject_objects(tmp_path, monkeypatch):
     assert built == {"SubjectData": 1, "subjects": 1}
 
 
+def test_check_and_fit_build_no_per_subject_grid(tmp_path, monkeypatch):
+    # Grids by their number of subjects, counted as MeasurementGrid's
+    # __post_init__ runs.
+    grids = []
+    post_init = lc.MeasurementGrid.__post_init__
+
+    def counting_post_init(self):
+        grids.append(len(self.subject_times))
+        post_init(self)
+
+    monkeypatch.setattr(lc.MeasurementGrid, "__post_init__", counting_post_init)
+    data = lc.simulate(lc.SimSpec(
+        n_subjects=30, times=(np.arange(1.0, 5.0), np.arange(2.0, 4.0)),
+        beta=np.array([1.0]), covariance=lc.Arma11Params(1.0, 0.5, 0.5), seed=3,
+    ))
+    lc.write_long_csv(tmp_path / "arma.csv", data)
+    assert grids == []
+    # A LEAR spec's simulator pools its two templates in one grid.
+    spec = spec_file(tmp_path, times=((1.0, 2.0, 3.0, 4.0), (2.0, 3.0)))
+    csv_path = str(tmp_path / "data.csv")
+    payload_of(invoke("simulate", "--spec", spec, "--out", csv_path))
+    assert grids == [2]
+    grids.clear()
+    for args in (["check-special-case"], ["fit"], ["fit", "--param", "arma11"],
+                 ["fit", "--criterion", "reml"]):
+        payload_of(invoke(*args, "--input", csv_path))
+    assert grids == []
+    # The counter sees the grid a caller asks for.
+    lc.read_long_csv(csv_path).grid
+    assert grids == [50]
+
+
 def test_simulate_reports_a_non_numeric_spec_field(tmp_path):
     spec = spec_file(tmp_path, times="abc")
     result = invoke("simulate", "--spec", spec, "--out", str(tmp_path / "a.csv"))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
+from learcov import dataio
 from conftest import (
     csv_writer_write_long_csv,
     per_row_read_long_csv,
@@ -293,6 +294,32 @@ def test_write_long_csv_bytes_match_csv_writer(tmp_path_factory, ids, seed):
     lc.write_long_csv(out / "new.csv", data, subject_ids=ids)
     csv_writer_write_long_csv(out / "old.csv", data, ids)
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_write_long_csv_blocks_match_csv_writer(tmp_path, monkeypatch, block):
+    # Eight rows: the last block is partial for blocks of 7. Times -0.0 and
+    # 0.0 are distinct values to format, and the extremes of the float
+    # range format as csv.writer writes them.
+    monkeypatch.setattr(dataio, "_WRITE_BLOCK", block)
+    data = lc.RepeatedMeasuresData(
+        lc.SubjectData(t, y, np.ones((len(t), 1))) for t, y in (
+            ([-0.0, 1.0, 2.5], [5e-324, -0.0, 1e308]),
+            ([0.0, 1.0], [-1e308, 2.2250738585072014e-308]),
+            ([5e-324, 1e308], [0.1, -5e-324]),
+            ([-0.0], [1.7976931348623157e308]),
+        )
+    )
+    ids = [f"s{i + 1}" for i in range(data.n_subjects)]
+    lc.write_long_csv(tmp_path / "default.csv", data)
+    lc.write_long_csv(tmp_path / "explicit.csv", data, subject_ids=ids)
+    csv_writer_write_long_csv(tmp_path / "want.csv", data, ids)
+    want = (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "default.csv").read_bytes() == want
+    assert (tmp_path / "explicit.csv").read_bytes() == want
+    assert b"\ns1,-0,4.9406564584124654e-324\n" in want
+    assert b"\ns2,0,-1e+308\n" in want
+    assert b"\ns4,-0,1.7976931348623157e+308\n" in want
 
 
 def test_write_long_csv_writes_an_empty_id_as_an_empty_field(tmp_path):

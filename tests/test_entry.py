@@ -1,7 +1,8 @@
 """The learcov program's exit, in child processes.
 
 ``learcov.cli.run`` ends the process with ``os._exit`` once the output is
-flushed, skipping the interpreter's teardown. Each case here runs
+flushed, skipping the interpreter's teardown; ``learcov.__main__.main``
+imports the CLI with the collector paused and runs it. Each case here runs
 ``python -m learcov`` and, as the reference, ``main`` as a plain click
 program left to the interpreter's exit (what ``python -m learcov`` ran
 before ``run``). The two must give the same stdout bytes, the same stderr
@@ -9,6 +10,7 @@ once each traceback's frames are set aside (the frames name ``run``), and
 the same exit status, which is also pinned.
 """
 import ast
+import gc
 import importlib
 import json
 import os
@@ -95,12 +97,14 @@ CASES = [
     ("stdout-closed", BUILD, 0, "closed"),
     ("stdout-closed-error", ["--bogus"], 12, "closed"),
     ("stderr-closed-error", ["--bogus"], 12, "stderr-closed"),
-    # click's write fails, then the interpreter's flush of what is left.
+    # click's write fails; the token is not written, its message goes to
+    # stderr, and then the interpreter's flush of what is left fails.
     ("stdout-full", BUILD, 120, "/dev/full"),
     ("stdout-full-error", ["--bogus"], 120, "/dev/full"),
 ]
-# Unbuffered, a write to a full device leaves nothing to flush.
-UNBUFFERED_STATUS = {"stdout-full": 1, "stdout-full-error": 1}
+# Unbuffered, a write to a full device leaves nothing to flush: the process
+# exits with the error's own code.
+UNBUFFERED_STATUS = {"stdout-full": 20, "stdout-full-error": 12}
 
 
 def text_matrix(n_times):
@@ -139,6 +143,11 @@ def test_the_program_exits_as_main_does(files, args, status, stdout, env):
     assert got[0] == status
     if status == 0 and stdout is None:
         assert got[1]  # a document, not an empty run on both sides
+    if stdout == "/dev/full":
+        # One line for the error, not two chained tracebacks.
+        assert got[2].startswith(("ParseError: [Errno 28] No space left on device\n",
+                                  "InvalidParams: No such option '--bogus'.\n"))
+        assert "During handling" not in got[2]
 
 
 def early_closed_pipe(command):
@@ -236,4 +245,33 @@ def test_the_console_script_runs_what_python_m_learcov_runs():
     guard = next(node for node in ast.parse(source).body if isinstance(node, ast.If))
     called = guard.body[0].value.func.id
     main_module = importlib.import_module("learcov.__main__")
-    assert getattr(main_module, called) is script_entry is cli.run
+    assert getattr(main_module, called) is script_entry is main_module.main
+
+
+# Registers an atexit handler that prints the collector's state, then runs
+# the program as the console script does.
+GC_CHILD = """
+import atexit, gc, json, sys
+from learcov.__main__ import main
+before = gc.get_freeze_count()
+atexit.register(lambda: print(json.dumps(
+    [before, gc.isenabled(), gc.get_freeze_count()])))
+sys.argv = ["learcov", *json.loads(sys.argv[1])]
+main()
+"""
+
+
+def test_the_program_runs_on_a_frozen_import_heap():
+    status, stdout, stderr = outcome([sys.executable, "-c", GC_CHILD],
+                                     [json.dumps(BUILD)])
+    assert (status, stderr) == (0, "")
+    before, enabled, frozen = json.loads(stdout.splitlines()[-1])
+    assert before == 0 and enabled and frozen > 0
+
+
+def test_main_in_process_leaves_the_collector_alone():
+    frozen = gc.get_freeze_count()
+    result = CliRunner().invoke(cli.main, BUILD)
+    assert result.exit_code == 0
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()

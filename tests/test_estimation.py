@@ -337,7 +337,6 @@ def without_rank_check(subjects):
     }
     for name, column in columns.items():
         object.__setattr__(data, name, column)
-    object.__setattr__(data, "_grid", lc.build_grid([s.times for s in subjects]))
     return data
 
 

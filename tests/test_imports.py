@@ -25,8 +25,8 @@ from conftest import simulated_dataset
 ROOT = Path(__file__).resolve().parents[1]
 
 # Imports learcov, then runs the command given as a JSON argument list (if
-# any) through CliRunner, and prints its exit code and the scipy, numpy and
-# learcov modules loaded.
+# any) through CliRunner, fails if numpy.ma was loaded, and prints its exit
+# code and the scipy, numpy and learcov modules loaded.
 CHILD = """
 import json, sys
 import learcov
@@ -39,6 +39,8 @@ if args:
     exit_code = result.exit_code
     if exit_code != 0:
         sys.stderr.write(result.output)
+# numpy.ma costs a command about 10 ms; a bare np.unique(x) imports it.
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 print(json.dumps({
     "exit_code": exit_code,
     "modules": sorted(

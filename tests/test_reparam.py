@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
+from learcov.estimation import _Prepared
+from learcov.reparam import _special_case
 from conftest import (
     per_subject_extremes,
     per_subject_normalize_grid,
+    per_subject_patterns,
+    per_subject_prepared_groups,
     per_subject_special_case,
 )
 
@@ -85,6 +89,8 @@ PATTERN_CASES = {
     "single measurements mixed in":
         [[5.0], [1, 2, 3], [7.0], [2, 3], [9.0], [1, 2, 3], [7.0]] * 4,
     "irregular": _shuffled([[1, 2, 4, 7.5], [1, 2, 4], [2, 4, 7.5]], 10, 3),
+    "gap within tolerance first, longer pattern next":
+        [[0, _H1], [0, 1, 2], [0, _H1]] * 10,
 }
 
 
@@ -134,26 +140,91 @@ NORMALIZE_CASES = {
     **PATTERN_CASES,
     "sub-gap offsets shuffled": _shuffled(
         [[2.3, 4.3, 6.3], [10.9, 12.9], [-3.0, -1.0, 1.0, 3.0], [7.1]], 12, 11),
+    # A gap 5e-10 short of 1 sets h; the third subject's anchor, above
+    # 2**53, swallows its unit step.
+    "huge anchor after a repeated pattern":
+        [[0, 1 - 5e-10]] * 2 + [[2.0 ** 53 - 4, 2.0 ** 53 - 3]],
 }
+
+
+def outcome(f, grid):
+    """A grid's times, spacing and extremes, or the error ``f`` raises."""
+    try:
+        g = f(grid)
+    except lc.LearcovError as exc:
+        return type(exc), str(exc)
+    return ([t.tobytes() for t in g.subject_times], g.spacing.hex(),
+            g.d_min.hex(), g.d_max.hex())
 
 
 @pytest.mark.parametrize("name", list(NORMALIZE_CASES))
 def test_normalize_grid_matches_the_per_subject_rescaling(name):
     grid = grid_of(*NORMALIZE_CASES[name])
-    try:
-        want = per_subject_normalize_grid(grid)
-    except lc.NotSpecialCase:
-        with pytest.raises(lc.NotSpecialCase):
-            lc.normalize_grid(grid)
+    got = outcome(lc.normalize_grid, grid)
+    assert got == outcome(per_subject_normalize_grid, grid)
+    if not isinstance(got[0], type):
+        assert all(not t.flags.writeable
+                   for t in lc.normalize_grid(grid).subject_times)
+
+
+# Times from which a pattern is drawn: -0.0 and 0.0 are distinct patterns
+# when they lead the same times, a gap of 1e-300 gives a spacing that no
+# unit grid can hold.
+PATTERN_TIMES = st.lists(
+    st.sampled_from([-0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 3.0, 4.0, 6.5]),
+    min_size=1, max_size=5, unique=True,
+).map(sorted)
+
+
+@st.composite
+def shared_patterns(draw):
+    """Subjects' times drawn, repeated and shuffled, from a few patterns of
+    one or more times and of mixed lengths; every subject its own array."""
+    pool = draw(st.lists(PATTERN_TIMES, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return [np.array(pool[k], dtype=float) for k in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_patterns())
+def test_the_pattern_table_matches_the_per_subject_scan(vectors):
+    data = lc.RepeatedMeasuresData(
+        lc.SubjectData(t, np.sin(np.arange(t.size) + i), np.ones((t.size, 1)))
+        for i, t in enumerate(vectors)
+    )
+    table = data._patterns
+    patterns, ids = per_subject_patterns(vectors)
+    assert [t.tobytes() for t in table.times] == [t.tobytes() for t in patterns]
+    assert table.ids.tolist() == ids
+    assert table.first.tolist() == [ids.index(n) for n in range(len(patterns))]
+    for p, (numbers, stack) in table.stacks.items():
+        assert stack.shape == (numbers.size, p)
+        rows = [patterns[n].tobytes() for n in numbers.tolist()]
+        assert [row.tobytes() for row in stack] == rows == sorted(rows)
+    groups = _Prepared(data).groups
+    want = per_subject_prepared_groups(data)
+    assert [[a.tobytes() for a in g] for g in groups] == [
+        [a.tobytes() for a in g] for g in want]
+
+    if all(t.size == 1 for t in vectors):
+        assert table.extremes is None
+        with pytest.raises(lc.DegenerateGrid):
+            data.grid
         return
-    got = lc.normalize_grid(grid)
-    assert [t.tobytes() for t in got.subject_times] == [
-        t.tobytes() for t in want.subject_times
-    ]
-    assert all(not t.flags.writeable for t in got.subject_times)
-    assert got.spacing.hex() == want.spacing.hex()
-    assert (got.d_min.hex(), got.d_max.hex()) == (
-        want.d_min.hex(), want.d_max.hex())
+    assert table.extremes == per_subject_extremes(vectors)
+    eager = lc.build_grid(vectors)
+    grid = data.grid
+    assert grid is data.grid
+    assert [t.tobytes() for t in grid.subject_times] == [
+        t.tobytes() for t in eager.subject_times]
+    assert all(np.shares_memory(t, data.times) for t in grid.subject_times)
+    assert (grid.d_min.hex(), grid.d_max.hex(), grid.spacing) == (
+        eager.d_min.hex(), eager.d_max.hex(), None)
+    reference = per_subject_special_case(eager)
+    assert lc.check_special_case(grid) == reference
+    assert _special_case(table, data._extremes()[0]) == reference
+    assert outcome(lc.normalize_grid, grid) == outcome(
+        per_subject_normalize_grid, eager)
 
 
 def test_normalize_grid_rejects_irregular_spacing():
