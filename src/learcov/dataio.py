@@ -7,9 +7,13 @@ as design covariates. Subjects keep their order of first appearance and
 rows are sorted by time within subject, so a shuffled file ingests to the
 same dataset.
 
-A file is parsed one column at a time straight into the dataset's flat
-arrays. Only when that finds a fault are the rows walked one by one, to
-report the first bad row as a row-by-row reader would.
+After the header, which csv.reader reads, numpy's C reader (np.loadtxt)
+parses the rows straight into the dataset's columns. It splits fields as
+csv.reader does and parses numbers as float() does, and it refuses the
+files where it could differ. A file it refuses is read again by
+csv.reader and parsed one column at a time; only when that finds a fault
+are the rows walked one by one, to report the first bad row as a
+row-by-row reader would.
 
 A file is written a block of rows (_WRITE_BLOCK) at a time, each block
 formatted by one % call. Each distinct time is formatted once and each
@@ -23,9 +27,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from dataclasses import asdict, fields
 from typing import TYPE_CHECKING
@@ -56,6 +62,11 @@ SIM_SPEC_SCHEMA_VERSION = 1
 
 # Characters that can make csv.writer quote a field.
 _NEEDS_WRITER = re.compile('[,"\r\n]')
+# ASCII separators: numpy's number parser strips them as white space,
+# float() does not.
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+# Characters of lines handed to numpy's reader at a time.
+_READ_BLOCK = 1 << 16
 
 
 def _parse_number(text: str, row: int, column: str) -> float:
@@ -104,8 +115,8 @@ def read_long_csv(
     Raises:
         ParseError: missing header/columns, short rows, non-numeric values,
             or a row the csv module cannot read (such as a field over its
-            field size limit), all reported with their row number (header
-            is row 1).
+            field size limit, in a header or in a file that numpy's reader
+            refuses), all reported with their row number (header is row 1).
         DuplicateMeasurement: repeated (subject, time) pair.
         DegenerateGrid: fewer than two measurements in the whole file.
     """
@@ -115,24 +126,27 @@ def read_long_csv(
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is None:
-                raise ParseError("empty file: a header row is required")
-            for name in names:
-                if name not in header:
-                    raise ParseError(f"missing required column {name!r} in header")
-            positions = [header.index(name) for name in names]
-            records = list(reader)
         except csv.Error as exc:
             raise ParseError(f"row {_csv_error_row(path)}: {exc}") from None
-
-    rows = [row for row in records if row]
-    if not rows:
-        raise ParseError("no data rows after the header")
-    parsed = _parse_columns(rows, positions)
-    if parsed is None:
-        _raise_first_row_error(records, names, positions)
+        if header is None:
+            raise ParseError("empty file: a header row is required")
+        for name in names:
+            if name not in header:
+                raise ParseError(f"missing required column {name!r} in header")
+        positions = [header.index(name) for name in names]
+        # A file the fast read refuses is read again from its first data
+        # row, so a stream that cannot seek takes the csv path at once.
+        parsed = None
+        if fh.seekable():
+            parsed = _load_columns(fh, positions)
+            if parsed is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+        if parsed is None:
+            parsed = _read_columns(reader, path, names, positions)
     values, rank = parsed
-    if len(rows) == 1:
+    if len(rank) == 1:
         raise DegenerateGrid(
             "a single measurement defines no distances; need at least two rows"
         )
@@ -144,6 +158,62 @@ def read_long_csv(
         X = rule_design(rule, t)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(rank))))
     return RepeatedMeasuresData._from_columns(t, values[1], X, offsets)
+
+
+def _load_columns(fh, positions):
+    """The rows after the header, read by numpy's C reader, or None.
+
+    Fields are split as csv.reader splits them and numbers parsed with the
+    routine behind float(), so what this read accepts it reads to the same
+    bits. It refuses more: numbers that only float() takes (such as 1_0 or
+    non-ASCII digits), rows too short for ``positions``, and every block of
+    lines holding a character from \\x1c to \\x1f, which numpy strips from
+    around a number and float() does not. It also returns None for the
+    faults _sort_columns finds and for a file without data rows, so that
+    the csv path reports them.
+    """
+    def checked(lines):
+        text = "".join(lines)
+        if any(c in text for c in _NOT_FLOAT_SPACE):
+            raise ValueError("a number may be framed by an ASCII separator")
+        return lines
+
+    blocks = iter(lambda: fh.readlines(_READ_BLOCK), [])
+    dtype = np.dtype([(f"f{i}", object if i == 0 else float)
+                      for i in range(len(positions))])
+    try:
+        # loadtxt warns of a file with no data rows; the csv path refuses it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(
+                itertools.chain.from_iterable(map(checked, blocks)),
+                dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                usecols=positions, ndmin=1,
+            )
+    except ValueError:
+        return None
+    if not table.size:
+        return None
+    values = np.array([table[name] for name in dtype.names[1:]])
+    return _sort_columns(table["f0"].tolist(), values)
+
+
+def _read_columns(reader, path, names, positions):
+    """The rows left in csv ``reader``, parsed: (values, rank).
+
+    Raises the error of the first bad row, as a row-by-row read meets it.
+    """
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"row {_csv_error_row(path)}: {exc}") from None
+    rows = [row for row in records if row]
+    if not rows:
+        raise ParseError("no data rows after the header")
+    parsed = _parse_columns(rows, positions)
+    if parsed is None:
+        _raise_first_row_error(records, names, positions)
+    return parsed
 
 
 def _csv_error_row(path) -> int:
@@ -167,10 +237,8 @@ def _csv_error_row(path) -> int:
 def _parse_columns(rows, positions):
     """The rows parsed a column at a time and sorted by subject, then time.
 
-    Returns the numeric columns as one (columns, rows) array and each row's
-    subject rank in order of first appearance, or None when a row is short,
-    holds an unparsable or non-finite number, or repeats a (subject, time)
-    pair.
+    Returns what _sort_columns returns, or None when a row is short or
+    holds a number float() cannot parse.
     """
     n = len(rows)
     if min(map(len, rows)) <= max(positions):
@@ -180,10 +248,21 @@ def _parse_columns(rows, positions):
         values = np.array([np.fromiter(map(float, c), float, n) for c in cells])
     except ValueError:
         return None
+    return _sort_columns(sids, values)
+
+
+def _sort_columns(sids, values):
+    """Rows sorted by subject, then time.
+
+    ``sids`` holds each row's subject id and ``values`` the numeric columns
+    as one (columns, rows) array. Returns them sorted, with each row's
+    subject rank in order of first appearance, or None when a number is not
+    finite or a (subject, time) pair repeats.
+    """
     if not np.isfinite(values).all():
         return None
     rank_of = {sid: r for r, sid in enumerate(dict.fromkeys(sids))}
-    rank = np.fromiter(map(rank_of.__getitem__, sids), np.intp, n)
+    rank = np.fromiter(map(rank_of.__getitem__, sids), np.intp, len(sids))
     order = np.lexsort((values[0], rank))
     values, rank = values[:, order], rank[order]
     t = values[0]

@@ -189,8 +189,10 @@ def _exact_gram(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """A @ B.T with every entry an exactly rounded sum (math.fsum).
 
     A and B hold one variable per row and one observation per column.
-    Without B the result is A @ A.T, and only its upper triangle is summed.
-    Raises InvalidSize when a product or a sum overflows.
+    Without B the result is A @ A.T, and only its upper triangle is summed;
+    rows of A that hold one value throughout take the shortcut of
+    _gram_with_constant_rows. Raises InvalidSize when a product or a sum
+    overflows.
     """
     symmetric = B is None
     if symmetric:
@@ -205,18 +207,66 @@ def _exact_gram(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
                 raise _overflow()
             return out
         if symmetric:
+            constant = _constant_rows(A)
+            if constant.any():
+                return _gram_with_constant_rows(A, constant)
             r, c = np.triu_indices(A.shape[0])
         else:
             r, c = (idx.ravel() for idx in np.indices((A.shape[0], B.shape[0])))
-        sums = np.empty(r.size)
-        step = max(1, _SUM_CHUNK // m)
-        for lo in range(0, r.size, step):
-            sums[lo:lo + step] = _exact_row_sums(A[r[lo:lo + step]] * B[c[lo:lo + step]])
+        sums = _pair_sums(A, B, r, c)
     out = np.empty((A.shape[0], B.shape[0]))
     out[r, c] = sums
     if symmetric:
         out[c, r] = sums
     return out
+
+
+def _constant_rows(A: np.ndarray) -> np.ndarray:
+    """Which rows of A hold one value throughout, bit for bit."""
+    bits = A.view(np.uint64)
+    # Only the rows whose ends agree are read whole.
+    constant = bits[:, 0] == bits[:, -1]
+    if constant.any():
+        constant[constant] = (bits[constant] == bits[constant, :1]).all(axis=1)
+    return constant
+
+
+def _gram_with_constant_rows(A: np.ndarray, constant: np.ndarray) -> np.ndarray:
+    """A @ A.T as _exact_gram sums it, for an A with ``constant`` rows.
+
+    Constant rows with equal bits have equal entries, so each such value is
+    kept once. The entry of two constant rows, v and w, is m * (v * w): the
+    m equal products, summed exactly and rounded once. A rule design's
+    columns are such rows within a time pattern. A zero, whose sign
+    math.fsum decides, or a sum near or past overflow is summed term by
+    term, as is every entry of a varying row. Call under the errstate of
+    _exact_gram.
+    """
+    m = A.shape[1]
+    first: dict[int, int] = {}
+    rows = np.array([first.setdefault(v, i) if same else i for i, (v, same)
+                     in enumerate(zip(A[:, 0].view(np.uint64).tolist(),
+                                      constant.tolist()))])
+    kept = np.flatnonzero(rows == np.arange(rows.size))
+    r, c = (kept[idx] for idx in np.triu_indices(kept.size))
+    sums = np.where(constant[r] & constant[c], m * (A[r, 0] * A[c, 0]), 0.0)
+    size = np.abs(sums)
+    summed = np.flatnonzero(~((size > 0.0) & (size < 2.0 ** 1023)))
+    sums[summed] = _pair_sums(A, A, r[summed], c[summed])
+    out = np.empty((A.shape[0], A.shape[0]))
+    out[r, c] = sums
+    out[c, r] = sums
+    return out[np.ix_(rows, rows)]
+
+
+def _pair_sums(A: np.ndarray, B: np.ndarray, r: np.ndarray, c: np.ndarray):
+    """Exactly rounded sum of A[r[n]] * B[c[n]] for each n."""
+    m = A.shape[1]
+    sums = np.empty(r.size)
+    step = max(1, _SUM_CHUNK // m)
+    for lo in range(0, r.size, step):
+        sums[lo:lo + step] = _exact_row_sums(A[r[lo:lo + step]] * B[c[lo:lo + step]])
+    return sums
 
 
 def _exact_row_sums(products: np.ndarray) -> np.ndarray:
@@ -318,11 +368,16 @@ def _fma(a: float, b: float, c: float) -> float:
 def _forward_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L x = b row by row: x_i = (b_i - L[i, :i] . x[:i]) / L_ii.
 
-    Rounds as scipy.linalg.solve_triangular(L, b, lower=True).
+    L may be a stack (..., q, q) and b a stack (..., q). Rounds as
+    scipy.linalg.solve_triangular(L, b, lower=True), each slice as it would
+    alone: a (1, i) @ (i, 1) matmul gives the bits of the 1-d dot product.
     """
-    x = np.empty(b.size)
-    for i in range(b.size):
-        x[i] = (b[i] - L[i, :i] @ x[:i]) / L[i, i]
+    x = np.empty(b.shape)
+    # b_0 - 0.0 is b_0, so the first row has no dot product.
+    x[..., 0] = b[..., 0] / L[..., 0, 0]
+    for i in range(1, b.shape[-1]):
+        dot = (L[..., i, None, :i] @ x[..., :i, None])[..., 0, 0]
+        x[..., i] = (b[..., i] - dot) / L[..., i, i]
     return x
 
 
@@ -391,8 +446,9 @@ def _profile_points(prep: _Prepared, parameterization: str, criterion: str,
     RankDeficient and InvalidSize are raised at the first point, in order,
     that meets them. A chunk of points goes through _factor_stage as one
     stack per pattern length; its inverses are contracted with the pattern
-    tensors C, and _tail finishes each point. Chunks are evaluated as they
-    are consumed, so a scan holds one chunk's results at a time.
+    tensors C, and _tail finishes the chunk's points as one stack. Chunks
+    are evaluated as they are consumed, so a scan holds one chunk's results
+    at a time.
     """
     q, M = prep.q, prep.M
     if criterion == "reml" and M <= q:
@@ -410,17 +466,14 @@ def _profile_points(prep: _Prepared, parameterization: str, criterion: str,
         )
         if alive:
             # A shared G^-1 is broadcast over the patterns by matmul itself.
-            # A term that overflows is refused below, point by point.
+            # A term that overflows is refused by _tail.
             with np.errstate(over="ignore", invalid="ignore"):
                 T = np.concatenate([
                     (G_inv.reshape(len(alive), -1, 1, C.shape[1]) @ C)[:, :, 0]
                     for G_inv, (_, _, C) in zip(inverses, prep.groups)
                 ], axis=1).transpose(0, 2, 1)  # (points, (q+1)^2 sums, patterns)
-            finite = np.isfinite(T).all(axis=(1, 2)).tolist()
-            for k, cols, ok, point_logdets in zip(alive, T.tolist(), finite, logdets):
-                if not ok:
-                    raise _overflow()
-                chunk[k] = _tail(prep, criterion, cols, point_logdets)
+            for k, result in zip(alive, _tail(prep, criterion, T, logdets)):
+                chunk[k] = result
         yield from chunk
 
 
@@ -475,38 +528,70 @@ def _factor_stage(prep: _Prepared, parameterization: str, a, b):
     return alive, inverses, logdets, failed
 
 
-def _tail(prep: _Prepared, criterion: str, cols, logdets):
-    """Second stage of an evaluation: the q x q tail at one point.
+def _tail(prep: _Prepared, criterion: str, T: np.ndarray, logdets) -> list:
+    """Second stage of an evaluation: the q x q tail at a stack of points.
 
-    ``cols`` holds the per-pattern terms of each entry of sum_i Z_i' G_i^-1
-    Z_i, row by row, and ``logdets`` the m log det G of each pattern.
-    Returns (loglik, sigma2_hat, La, u), with La La' = X' G^-1 X and
-    u = La^-1 X' G^-1 (y - X beta0) (see _beta), or SingularFit.
+    ``T`` holds, per point, the per-pattern terms of each entry of
+    sum_i Z_i' G_i^-1 Z_i, as (points, (q+1)^2, patterns), and ``logdets``
+    per point the m log det G of each pattern. Returns per point
+    (loglik, sigma2_hat, La, u), with La La' = X' G^-1 X and
+    u = La^-1 X' G^-1 (y - X beta0) (see _beta), or SingularFit. Raises
+    InvalidSize or RankDeficient at the first point, in order, that meets
+    one. Each point's sums, factor and logs round as they would alone.
     """
     q, M = prep.q, prep.M
+    width = (q + 1) ** 2
     # Exactly rounded sums across patterns: results do not depend on the
-    # order subjects were supplied in.
-    try:
-        S = np.array([math.fsum(col) for col in cols]).reshape(q + 1, q + 1)
-    except OverflowError:
-        raise _overflow() from None
-    La = _normal_factor(
-        S[:q, :q], "the design is rank deficient under this correlation"
-    )
-    u = _forward_solve(La, S[:q, q])
-    # Residual quadratic form of the centred responses after the GLS
-    # correction: c - b' A^-1 b with A = La La'.
-    quad = S[q, q] - math.fsum((u * u).tolist())
-    sum_logdet = math.fsum(logdets)
+    # order subjects were supplied in. A term or sum that overflows makes
+    # its entry inf or NaN.
+    sums = _fsums(T.tolist())
+    S = np.array(sums).reshape(-1, q + 1, q + 1)
+    # The kernel of np.linalg.cholesky, as in _factor_stage: a point whose
+    # normal equations do not factor comes back as NaNs. Such points, and
+    # points that overflow, raise below before their u is read.
+    with np.errstate(all="ignore"):
+        La = _umath_linalg.cholesky_lo(S[:, :q, :q], signature="d->d")
+        u = _forward_solve(La, S[:, :q, q])
+        squares = (u * u).tolist()
     denom = M if criterion == "ml" else M - q
-    sigma2 = quad / denom
-    if sigma2 <= 0.0:
-        return SingularFit("residual quadratic form is zero; sigma2_hat = 0")
-    total = M * math.log(2.0 * math.pi * sigma2) + sum_logdet + denom
-    if criterion == "reml":
-        total += (2.0 * math.fsum(map(math.log, np.diag(La)))
-                  - q * math.log(sigma2))
-    return -0.5 * total, sigma2, La, u
+    out = []
+    for k, (diagonal, c, uu, point_logdets) in enumerate(zip(
+            np.diagonal(La, axis1=1, axis2=2).tolist(), S[:, q, q].tolist(),
+            squares, logdets)):
+        if not all(map(math.isfinite, sums[k * width:(k + 1) * width])):
+            raise _overflow()
+        if math.isnan(diagonal[0]):
+            raise RankDeficient(
+                "normal equations are singular; the design is rank deficient "
+                "under this correlation"
+            )
+        # Residual quadratic form of the centred responses after the GLS
+        # correction: c - b' A^-1 b with A = La La'.
+        sigma2 = (c - math.fsum(uu)) / denom
+        if sigma2 <= 0.0:
+            out.append(SingularFit("residual quadratic form is zero; sigma2_hat = 0"))
+            continue
+        total = M * math.log(2.0 * math.pi * sigma2) + math.fsum(point_logdets) + denom
+        if criterion == "reml":
+            total += 2.0 * math.fsum(map(math.log, diagonal)) - q * math.log(sigma2)
+        out.append((-0.5 * total, sigma2, La[k], u[k]))
+    return out
+
+
+def _fsums(points: list) -> list:
+    """math.fsum of each row of each point, NaN where it overflows or meets
+    terms inf and -inf."""
+    try:
+        return [math.fsum(row) for rows in points for row in rows]
+    except (OverflowError, ValueError):
+        return [_fsum_or_nan(row) for rows in points for row in rows]
+
+
+def _fsum_or_nan(row: list) -> float:
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def _beta(prep: _Prepared, La: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -697,9 +782,12 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
 
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
+        # Where fsim holds inf, inf - inf is a quiet NaN that fails the
+        # test, as in scipy.
+        with np.errstate(invalid="ignore"):
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
 
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = (1 + rho) * xbar - rho * sim[-1]

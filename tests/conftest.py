@@ -399,6 +399,15 @@ def _per_point_arma11_corr(tau, rho_a, p):
     return corr
 
 
+def per_row_forward_solve(L, b) -> np.ndarray:
+    """Solve L x = b for one (q, q) L, one row at a time:
+    x_i = (b_i - L[i, :i] . x[:i]) / L_ii, the dot product of 1-d slices."""
+    x = np.empty(b.size)
+    for i in range(b.size):
+        x[i] = (b[i] - L[i, :i] @ x[:i]) / L[i, i]
+    return x
+
+
 def per_point_profile(prep, parameterization, criterion, a, b):
     """(loglik, beta_hat, sigma2_hat) at one point, factoring point by point.
 
@@ -436,7 +445,7 @@ def per_point_profile(prep, parameterization, criterion, a, b):
         [math.fsum(col) for col in np.concatenate(terms).T.tolist()]
     ).reshape(q + 1, q + 1)
     La = estimation._normal_factor(S[:q, :q], "rank deficient")
-    u = estimation._forward_solve(La, S[:q, q])
+    u = per_row_forward_solve(La, S[:q, q])
     beta = prep.beta0 + estimation._fused_solve(La, u, transpose=True)
     quad = S[q, q] - math.fsum((u * u).tolist())
     sum_logdet = math.fsum(logdets)

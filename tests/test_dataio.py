@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -99,6 +101,45 @@ def test_read_long_csv_reports_unreadable_rows(tmp_path, text, row):
     assert len(text) < 2 ** 18  # the limit is not raised on the way
     with pytest.raises(lc.ParseError, match=f"^row {row}: field larger than field limit"):
         lc.read_long_csv(write(tmp_path, text))
+
+
+def test_read_long_csv_reads_a_long_field_in_a_column_it_does_not_use(tmp_path):
+    # csv.reader refuses fields over its limit; numpy's reader has none, so
+    # a file it reads whole is read even where a spare field is that long.
+    text = "subject,time,y,junk\na,1,0.5,j\na,2,0.7,{}\nb,1,1.5,j\n"
+    data = lc.read_long_csv(write(tmp_path, text.format("j" * 200_000), "long.csv"))
+    plain = lc.read_long_csv(write(tmp_path, text.format("j"), "short.csv"))
+    for name in ("times", "y", "X", "offsets"):
+        assert getattr(data, name).tobytes() == getattr(plain, name).tobytes()
+    # A file numpy's reader refuses (here for a short row) goes to the csv
+    # path, which still names the long field's row.
+    with pytest.raises(lc.ParseError, match="^row 3: field larger than field limit"):
+        lc.read_long_csv(write(tmp_path, text.format("j" * 200_000) + "c,1\n"))
+
+
+@pytest.mark.parametrize("text, error", [
+    (GOOD_CSV, None),
+    ("subject,time,y\na,1,0.5\na,1_0,0.7\nb,1,1.5\nb,x,0.1\n", "row 5: cannot parse"),
+])
+def test_read_long_csv_reads_a_stream_that_cannot_seek(tmp_path, text, error):
+    # A file the fast reader refuses is read again from the top; a pipe
+    # cannot be, so it goes to the csv path at once.
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        if error is None:
+            data = lc.read_long_csv(fifo)
+            want = lc.read_long_csv(write(tmp_path, text))
+            for name in ("times", "y", "X", "offsets"):
+                assert getattr(data, name).tobytes() == getattr(want, name).tobytes()
+        else:
+            with pytest.raises(lc.ParseError, match=error):
+                lc.read_long_csv(fifo)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
 
 
 def test_read_long_csv_rejects_non_finite_values(tmp_path):
@@ -216,6 +257,96 @@ def test_read_long_csv_matches_the_per_row_read(tmp_path_factory, csv_rows, desi
         writer.writerows(rows)
     assert read_outcome(lc.read_long_csv, path, design) == read_outcome(
         per_row_read_long_csv, path, design
+    )
+
+
+# Cells on which numpy's reader and float() could part: syntax only float()
+# takes, white space each strips, quotes and line breaks inside fields.
+ODD_NUMBERS = [
+    "1_0", " 1.5 ", "+.5", "5.", "-0", "1e400", "nan", "Infinity", "١٢",
+    "0x10", "1.5\x00", "1\x1c", "\x1f2", "3 ", " 4", '"5"', '"6\r\n"',
+    '"7""', " 8", "9\t", "\x0b10",
+]
+ODD_TEXT = st.text(alphabet=',"\r\n\x00\u2028 ab1', max_size=6)
+
+
+@st.composite
+def odd_csv_text(draw):
+    """A long-format CSV written by hand, with a few odd cells: numbers from
+    ODD_NUMBERS, ids and spare fields drawn from an alphabet of commas,
+    quotes, line breaks, NUL, U+2028 and spaces, rows cut short or run
+    long, and lines ended by LF, CRLF or CR."""
+    header = draw(st.permutations(COLUMNS))
+    # Odd cells in twenty: none, some, or many.
+    rate = draw(st.sampled_from([0, 1, 4]))
+
+    def cell(plain, odd):
+        return draw(odd if draw(st.integers(0, 19)) < rate else plain)
+
+    numbers = st.sampled_from(ODD_NUMBERS)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", None]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = {
+            "subject": cell(st.sampled_from(IDS[:3]), ODD_TEXT),
+            "time": cell(TIME_CELLS, numbers),
+            "y": cell(NUMBER_CELLS, numbers),
+            "dose": cell(NUMBER_CELLS, numbers),
+            "junk": cell(st.just("j"), ODD_TEXT),
+        }
+        row = [cells[c] for c in header]
+        cut = cell(st.none(), st.sampled_from([1, 3, 6]))
+        if cut is not None:
+            row = (row + ["x"])[:cut]
+        lines.append(",".join(row))
+    if cell(st.just(False), st.just(True)):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    ends = [end or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + e for line, e in zip(lines, ends))
+    return text if draw(st.booleans()) else text[:-len(ends[-1])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_csv_text(), st.sampled_from(["intercept", ["dose"], ["dose", "y"]]))
+def test_read_long_csv_matches_the_per_row_read_on_odd_text(
+    tmp_path_factory, text, design
+):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_outcome(lc.read_long_csv, path, design) == read_outcome(
+        per_row_read_long_csv, path, design
+    )
+
+
+ROWS = "a,1,0.5\na,2,0.7\nb,1,1.5\nb,3,0.1\n"
+
+
+@pytest.mark.parametrize("text, fast", [
+    # Quoting, line ends and blank lines as csv.reader reads them.
+    ('"a,1",1,0.5\n"a,1",2,0.7\n"say ""hi""",1,1.5\n"two\nlines",3,0.1\n', True),
+    (ROWS.replace("\n", "\r\n") + "\r\n", True),
+    (ROWS.replace("\n", "\r"), True),
+    ('a,"1",0.5\na, 2 ,0.7\nb,+1.,"1.5"\nb,3,1e-3\n\n', True),
+    ("a\x00b,1,0.5\na\x00b,2,0.7\n#c,1,1\n#c,2,2\n", True),
+    # Numbers only float() reads, and white space only numpy strips.
+    (ROWS.replace("0.7", "0_7"), False),
+    (ROWS.replace("0.7", "٠.٧"), False),
+    (ROWS.replace("0.7", "0.7\x1c"), False),
+    (ROWS.replace("a,2", "a,\x1f2"), False),
+    # Rows too short for the columns read, and a row ending in a spare field.
+    (ROWS + "c\n", False),
+    (ROWS.replace("b,1,1.5", "b,1,1.5,spare"), True),
+])
+def test_the_fast_read_takes_what_it_reads_as_the_csv_path_does(tmp_path, text, fast):
+    # Where numpy's reader takes a file, its columns are the csv path's;
+    # where it could differ from float(), it refuses the file.
+    path = write(tmp_path, "subject,time,y\n" + text)
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        next(csv.reader(fh))
+        loaded = dataio._load_columns(fh, [0, 1, 2])
+    assert (loaded is not None) == fast
+    assert read_outcome(lc.read_long_csv, path, "intercept") == read_outcome(
+        per_row_read_long_csv, path, "intercept"
     )
 
 

@@ -170,6 +170,20 @@ def test_a_reader_that_stops_early_ends_the_program_as_before():
     assert got == (1, b"1 0.5999999999999999", "")
 
 
+def test_a_refinement_from_infinite_values_writes_nothing_to_stderr(tmp_path):
+    # Gaps of 1e-300 and 8.9e-16 fail 420 of the 441 scan points and the
+    # whole start simplex, so the refinement compares inf with inf for all
+    # 400 of its iterations, and must do so without numpy's RuntimeWarning.
+    path = tmp_path / "tiny_gaps.csv"
+    path.write_text("subject,time,y\na,0,1.0\na,1e-300,2.0\nb,0,0.5\n"
+                    "b,8.9e-16,1.5\n", encoding="utf-8")
+    status, stdout, stderr = outcome(PROGRAM, ["fit", "--input", str(path)])
+    assert (status, stderr) == (0, "")
+    result = json.loads(stdout)
+    assert (result["iterations"], result["converged"]) == (400, False)
+    assert (result["n_scan_failures"], result["max_loglik"]) == (420, -3.3494525132073294)
+
+
 def test_output_larger_than_a_pipe_arrives_whole():
     args = text_matrix(120)
     status, stdout, stderr = outcome(PROGRAM, args)

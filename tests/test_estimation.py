@@ -15,6 +15,7 @@ from conftest import (
     fsum_gram,
     per_point_profile,
     per_point_scan,
+    per_row_forward_solve,
     per_subject_prepared_groups,
     per_subject_with_subject_times,
     simulated_dataset,
@@ -448,6 +449,49 @@ def test_exact_gram_rounds_every_entry_once(m):
     assert np.array_equal(_exact_gram(A, B), fsum_gram(A, B))
 
 
+# Values of rows that hold one value throughout: signed zeros, subnormals,
+# products near the ends of the range, and values whose m-fold sums round.
+CONSTANTS = [1.0, 3.0, 1.0 / 3.0, -0.1, 0.0, -0.0, 5e-324, 3e-320, 1e-160,
+             1.3e154, -2.0 ** 511, 2.0 ** 1000, 2.0 ** -1000]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.sampled_from(CONSTANTS), st.none(), st.just("ends")),
+                    min_size=1, max_size=8),
+    m=st.one_of(st.integers(3, 40), st.just(estimation._SUM_CHUNK + 3)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_exact_gram_sums_constant_rows_in_closed_form(values, m, seed):
+    # Each row holds one value of CONSTANTS, varies (None), or varies only
+    # between equal ends ("ends"); the closed form m * (v * w) for two
+    # constant rows must give math.fsum's bits, and refuse the same
+    # overflows.
+    from learcov.estimation import _exact_gram
+
+    rng = np.random.default_rng(seed)
+
+    def row(v):
+        if v is None:
+            return rng.standard_normal(m) * 10.0 ** rng.integers(-5, 6, m)
+        if v == "ends":
+            return np.where(np.arange(m) == m // 2, 3.0, 2.0)
+        return np.full(m, v)
+
+    A = np.array([row(v) for v in values])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = fsum_gram(A)
+        except OverflowError:
+            want = None
+    if want is None or not np.isfinite(want).all():
+        with pytest.raises(lc.InvalidSize, match="overflow"):
+            _exact_gram(A)
+        return
+    assert _exact_gram(A).tobytes() == want.tobytes()
+    assert _exact_gram(A.T.copy().T).tobytes() == want.tobytes()
+
+
 def row_set(kind: str, seed: int, rows: int, m: int) -> np.ndarray:
     """A (rows, m) array of products of one adversarial kind."""
     rng = np.random.default_rng(seed)
@@ -761,6 +805,117 @@ def test_loglik_surface_is_finite_on_interior_smoke_grid():
     for rho in np.linspace(0.05, 0.9, 5):
         for delta in np.linspace(0.1, 2.0, 5) * r:
             assert math.isfinite(lc.profile_loglik(data, (rho, delta)))
+
+
+# --------------------------------------------------------------------------
+# the model's own symmetries (metamorphic relations of profile_estimates)
+#
+# Tolerances are relative to the log-likelihood's size. Over 3000 cases of
+# metamorphic_case the largest relative differences measured were 1.1e-15
+# (rescaled y; 7.3e-15 in sigma2, 2.4e-14 in beta), 8.2e-15 (X A), 1.6e-15
+# (doubled subjects) and 1.6e-12 (shifted times, whose distances round
+# differently).
+
+
+def metamorphic_case(seed: int, kind: str, q: int):
+    """(data, theta): 6 to 24 subjects of 1 to 5 visits and a point inside
+    the positive-definite region (delta at most twice the range).
+
+    "unit" draws each subject's times from the grid 1..6, so patterns
+    repeat; "irregular" gives most subjects times of their own and every
+    third the shared times 0, 1.3, 2.9, 7.4. The columns of X are the
+    intercept, the time and a random covariate, the first q of them.
+    """
+    rng = np.random.default_rng(seed)
+    subjects = []
+    for i in range(int(rng.integers(6, 25))):
+        p = int(rng.integers(2, 6))
+        if kind == "unit":
+            t = np.sort(rng.choice(np.arange(1.0, 7.0), p, replace=False))
+        elif i % 3:
+            t = np.sort(rng.uniform(0.0, 10.0, p))
+        else:
+            t = np.array([0.0, 1.3, 2.9, 7.4])
+        X = np.column_stack([np.ones(t.size), t, rng.standard_normal(t.size)])[:, :q]
+        y = X @ np.arange(1.0, q + 1) + rng.standard_normal(t.size)
+        subjects.append(lc.SubjectData(t, y, X))
+    data = lc.RepeatedMeasuresData(tuple(subjects))
+    r = data.grid.d_max - data.grid.d_min
+    return data, (float(rng.uniform(0.05, 0.9)), float(rng.uniform(0.0, 2.0 * r)))
+
+
+def rebuilt(data, times=None, y=None, X=None):
+    """``data`` with each subject's times, y or X mapped by a function."""
+    return lc.RepeatedMeasuresData(tuple(
+        lc.SubjectData(times(s.times) if times else s.times,
+                       y(s) if y else s.y, X(s.X) if X else s.X)
+        for s in data.subjects
+    ))
+
+
+METAMORPHIC = dict(
+    seed=st.integers(0, 2 ** 32 - 1),
+    kind=st.sampled_from(["unit", "irregular"]),
+    q=st.integers(1, 3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(0.1, 10.0), criterion=st.sampled_from(["ml", "reml"]), **METAMORPHIC)
+def test_rescaled_responses_shift_the_loglik_by_a_jacobian(seed, kind, q, c, criterion):
+    # y -> c y + X b: beta maps to c beta + b, sigma2 to c^2 sigma2, and the
+    # log-likelihood drops by M' ln c, with M' the criterion's M or M - q.
+    data, theta = metamorphic_case(seed, kind, q)
+    b = np.random.default_rng(seed + 1).standard_normal(q)
+    base = lc.profile_estimates(data, theta, criterion)
+    moved = lc.profile_estimates(rebuilt(data, y=lambda s: c * s.y + s.X @ b),
+                                 theta, criterion)
+    shift = (data.n_obs - (q if criterion == "reml" else 0)) * math.log(c)
+    assert moved.loglik == pytest.approx(base.loglik - shift, rel=0,
+                                         abs=1e-13 * (abs(base.loglik) + abs(shift)))
+    assert moved.sigma2_hat == pytest.approx(c * c * base.sigma2_hat, rel=1e-12)
+    np.testing.assert_allclose(moved.beta_hat, c * base.beta_hat + b, rtol=0,
+                               atol=1e-10 * (1.0 + np.abs(c * base.beta_hat + b).max()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**METAMORPHIC)
+def test_a_change_of_design_basis_leaves_the_loglik(seed, kind, q):
+    # X -> X A for a well-conditioned A: the ML log-likelihood is unchanged
+    # and the REML one drops by ln |det A|.
+    data, theta = metamorphic_case(seed, kind, q)
+    rng = np.random.default_rng(seed + 2)
+    Q, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    A = Q * rng.uniform(0.5, 2.0, q)
+    mixed = rebuilt(data, X=lambda X: X @ A)
+    for criterion, drop in (("ml", 0.0), ("reml", math.log(abs(np.linalg.det(A))))):
+        base = lc.profile_estimates(data, theta, criterion).loglik
+        got = lc.profile_estimates(mixed, theta, criterion).loglik
+        assert got == pytest.approx(base - drop, rel=0, abs=1e-13 * abs(base))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**METAMORPHIC)
+def test_each_subject_twice_doubles_the_ml_loglik(seed, kind, q):
+    data, theta = metamorphic_case(seed, kind, q)
+    twice = lc.RepeatedMeasuresData(data.subjects + data.subjects)
+    base = lc.profile_estimates(data, theta)
+    got = lc.profile_estimates(twice, theta)
+    assert got.loglik == pytest.approx(2.0 * base.loglik, rel=1e-13)
+    assert got.sigma2_hat == pytest.approx(base.sigma2_hat, rel=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shift=st.floats(-16.0, 16.0), seed=METAMORPHIC["seed"], kind=METAMORPHIC["kind"])
+def test_shifted_times_leave_the_intercept_loglik(seed, kind, shift):
+    # Distances, and so every G, do not depend on where time starts; only
+    # their rounding does.
+    data, theta = metamorphic_case(seed, kind, 1)
+    moved = rebuilt(data, times=lambda t: t + shift)
+    for criterion in ("ml", "reml"):
+        base = lc.profile_estimates(data, theta, criterion).loglik
+        got = lc.profile_estimates(moved, theta, criterion).loglik
+        assert got == pytest.approx(base, rel=1e-11)
 
 
 # --------------------------------------------------------------------------
@@ -1096,6 +1251,21 @@ def test_substitution_solves_match_scipy(q):
         assert_solution_close(_fused_solve(L, b, transpose=True),
                               solve_triangular(L.T, b, lower=False))
         assert_solution_close(_cho_solve(L, b), cho_solve((L, True), b))
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+def test_stacked_forward_solve_matches_the_row_by_row_solve(q):
+    # Each slice of a stack, and a single (q, q) system, gives the bits of
+    # the row loop over 1-d dot products.
+    rng = np.random.default_rng(100 + q)
+    A = rng.standard_normal((3000, q + 3, q))
+    A = np.swapaxes(A, 1, 2) @ A + 0.1 * np.eye(q)
+    L = np.linalg.cholesky(A * 10.0 ** rng.uniform(-3, 3, (3000, 1, 1)))
+    b = rng.standard_normal((3000, q)) * 10.0 ** rng.uniform(-3, 3, (3000, 1))
+    want = np.array([per_row_forward_solve(Lk, bk) for Lk, bk in zip(L, b)])
+    assert estimation._forward_solve(L, b).tobytes() == want.tobytes()
+    for k in range(0, 3000, 97):
+        assert estimation._forward_solve(L[k], b[k]).tobytes() == want[k].tobytes()
 
 
 def bits(values):
