@@ -387,6 +387,11 @@ def _arma11_corr(tau, rho_a, p: int) -> np.ndarray:
     return corr
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def lear_correlation(
     params: LearParams, grid: MeasurementGrid, subject_index: int = 0
 ) -> np.ndarray:
@@ -397,6 +402,10 @@ def lear_correlation(
     interpolation fraction is taken as zero, so every off-diagonal entry is
     rho_l ** d_min and delta is inert.
     """
+    if not _is_integer(subject_index):
+        raise InvalidSize(
+            f"subject_index must be an integer (got {subject_index!r})"
+        )
     if not (0 <= subject_index < grid.n_subjects):
         raise InvalidSize(
             f"subject_index {subject_index} out of range for "
@@ -420,7 +429,7 @@ def arma11_covariance(params: Arma11Params, p: int) -> np.ndarray:
     sigma2 on the diagonal. Positions, not times, define the lag, so this
     structure is meaningful when measurements sit on a unit-spaced grid.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+    if not _is_integer(p) or p < 1:
         raise InvalidSize(f"matrix size must be a positive integer (got {p!r})")
     return params.sigma2 * _arma11_corr(params.tau, params.rho_a, p)
 

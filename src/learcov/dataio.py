@@ -10,10 +10,10 @@ same dataset.
 After the header, which csv.reader reads, numpy's C reader (np.loadtxt)
 parses the rows straight into the dataset's columns. It splits fields as
 csv.reader does and parses numbers as float() does, and it refuses the
-files where it could differ. A file it refuses is read again by
-csv.reader and parsed one column at a time; only when that finds a fault
-are the rows walked one by one, to report the first bad row as a
-row-by-row reader would.
+files where it could differ. A file it refuses is walked again from its
+first data row by csv.reader, one row at a time, which reads it or raises
+the error of its first bad row. A stream that cannot seek, such as a
+pipe, is read into memory first, so it takes the same two paths.
 
 A file is written a block of rows (_WRITE_BLOCK) at a time, each block
 formatted by one % call. Each distinct time is formatted once and each
@@ -116,35 +116,35 @@ def read_long_csv(
         ParseError: missing header/columns, short rows, non-numeric values,
             or a row the csv module cannot read (such as a field over its
             field size limit, in a header or in a file that numpy's reader
-            refuses), all reported with their row number (header is row 1).
+            refuses), reported with the number of the first bad row
+            (header is row 1).
         DuplicateMeasurement: repeated (subject, time) pair.
         DegenerateGrid: fewer than two measurements in the whole file.
     """
     rule, covariate_cols = _design_columns(design)
     names = [subject_col, time_col, y_col, *covariate_cols]
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        if not fh.seekable():
+            # Kept whole so that a file numpy's reader refuses can be walked
+            # again; newline="" keeps line ends as the file has them.
+            fh = io.StringIO(fh.read(), newline="")
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
         except csv.Error as exc:
-            raise ParseError(f"row {_csv_error_row(path)}: {exc}") from None
+            raise ParseError(f"row 1: {exc}") from None
         if header is None:
             raise ParseError("empty file: a header row is required")
         for name in names:
             if name not in header:
                 raise ParseError(f"missing required column {name!r} in header")
         positions = [header.index(name) for name in names]
-        # A file the fast read refuses is read again from its first data
-        # row, so a stream that cannot seek takes the csv path at once.
-        parsed = None
-        if fh.seekable():
-            parsed = _load_columns(fh, positions)
-            if parsed is None:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
+        parsed = _load_columns(fh, positions)
         if parsed is None:
-            parsed = _read_columns(reader, path, names, positions)
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            parsed = _read_rows(reader, names, positions)
     values, rank = parsed
     if len(rank) == 1:
         raise DegenerateGrid(
@@ -170,7 +170,7 @@ def _load_columns(fh, positions):
     lines holding a character from \\x1c to \\x1f, which numpy strips from
     around a number and float() does not. It also returns None for the
     faults _sort_columns finds and for a file without data rows, so that
-    the csv path reports them.
+    the row walk reports them.
     """
     def checked(lines):
         text = "".join(lines)
@@ -182,7 +182,7 @@ def _load_columns(fh, positions):
     dtype = np.dtype([(f"f{i}", object if i == 0 else float)
                       for i in range(len(positions))])
     try:
-        # loadtxt warns of a file with no data rows; the csv path refuses it.
+        # loadtxt warns of a file with no data rows; the row walk refuses it.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(
@@ -198,57 +198,43 @@ def _load_columns(fh, positions):
     return _sort_columns(table["f0"].tolist(), values)
 
 
-def _read_columns(reader, path, names, positions):
-    """The rows left in csv ``reader``, parsed: (values, rank).
+def _read_rows(reader, names, positions):
+    """The rows left in csv ``reader``, parsed: what _sort_columns returns.
 
-    Raises the error of the first bad row, as a row-by-row read meets it.
+    Raises the error of the first bad row in file order. Within a row: a
+    short row, then each named column in ``names`` order, then a repeated
+    (subject, time) pair. A row the csv module cannot read is numbered by
+    the rows read before it; the header is row 1.
     """
+    needed = max(positions) + 1
+    columns = list(zip(names[1:], positions[1:]))
+    sids: list[str] = []
+    rows: list[list[float]] = []
+    seen: set[tuple[str, float]] = set()
+    row_num = 1
     try:
-        records = list(reader)
+        for row_num, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < needed:
+                raise ParseError(
+                    f"row {row_num}: expected at least {needed} fields, got {len(row)}"
+                )
+            sid = row[positions[0]]
+            numbers = [_parse_number(row[pos], row_num, name) for name, pos in columns]
+            if (sid, numbers[0]) in seen:
+                raise DuplicateMeasurement(
+                    f"row {row_num}: duplicate measurement for subject "
+                    f"{sid!r} at time {numbers[0]!r}"
+                )
+            seen.add((sid, numbers[0]))
+            sids.append(sid)
+            rows.append(numbers)
     except csv.Error as exc:
-        raise ParseError(f"row {_csv_error_row(path)}: {exc}") from None
-    rows = [row for row in records if row]
+        raise ParseError(f"row {row_num + 1}: {exc}") from None
     if not rows:
         raise ParseError("no data rows after the header")
-    parsed = _parse_columns(rows, positions)
-    if parsed is None:
-        _raise_first_row_error(records, names, positions)
-    return parsed
-
-
-def _csv_error_row(path) -> int:
-    """Number of the row at which csv.reader fails on ``path``.
-
-    Rows are counted as in every other message: the header is row 1, a
-    blank line is a row, and a quoted field may span lines. Only a failed
-    read calls this, so the file is read once more to count.
-    """
-    row = 1
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        try:
-            # After each row read, row numbers the next: the one that fails.
-            for row, _ in enumerate(csv.reader(fh), start=2):
-                pass
-        except csv.Error:
-            pass
-    return row
-
-
-def _parse_columns(rows, positions):
-    """The rows parsed a column at a time and sorted by subject, then time.
-
-    Returns what _sort_columns returns, or None when a row is short or
-    holds a number float() cannot parse.
-    """
-    n = len(rows)
-    if min(map(len, rows)) <= max(positions):
-        return None
-    sids, *cells = [[row[pos] for row in rows] for pos in positions]
-    try:
-        values = np.array([np.fromiter(map(float, c), float, n) for c in cells])
-    except ValueError:
-        return None
-    return _sort_columns(sids, values)
+    return _sort_columns(sids, np.ascontiguousarray(np.array(rows).T))
 
 
 def _sort_columns(sids, values):
@@ -269,33 +255,6 @@ def _sort_columns(sids, values):
     if ((t[1:] == t[:-1]) & (rank[1:] == rank[:-1])).any():
         return None
     return values, rank
-
-
-def _raise_first_row_error(records, names, positions) -> None:
-    """Raise the error of the first bad row, as a row-by-row read meets it.
-
-    Within a row: a short row, then each named column in ``names`` order,
-    then a repeated (subject, time) pair.
-    """
-    needed = max(positions) + 1
-    seen: set[tuple[str, float]] = set()
-    for row_num, row in enumerate(records, start=2):
-        if not row:
-            continue
-        if len(row) < needed:
-            raise ParseError(
-                f"row {row_num}: expected at least {needed} fields, got {len(row)}"
-            )
-        sid = row[positions[0]]
-        t = _parse_number(row[positions[1]], row_num, names[1])
-        for name, pos in zip(names[2:], positions[2:]):
-            _parse_number(row[pos], row_num, name)
-        if (sid, t) in seen:
-            raise DuplicateMeasurement(
-                f"row {row_num}: duplicate measurement for subject "
-                f"{sid!r} at time {t!r}"
-            )
-        seen.add((sid, t))
 
 
 def write_long_csv(path, data: RepeatedMeasuresData, subject_ids=None) -> None:

@@ -237,7 +237,8 @@ class FitOptions:
     is ignored for the LEAR parameterization. ``boundary_tol`` is relative to
     each box width. Each field takes values of its default's type, numpy
     scalars included, and keeps them as that type; floats must be finite.
-    ``grid_points`` is at most 201, as the scan keeps grid_points ** 2 results.
+    ``grid_points`` is at most 201, which bounds the scan at 40 401
+    evaluations.
     """
 
     grid_points: int = 21

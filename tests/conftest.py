@@ -254,12 +254,13 @@ def per_row_read_long_csv(
 ) -> lc.RepeatedMeasuresData:
     """``read_long_csv`` as one parse and one check per row, then per subject.
 
-    The direct form that the column-at-a-time read replaces: every row is
-    parsed and checked in file order, so the first bad row raises; then
-    each subject's rows are sorted by time and built into a SubjectData.
+    The direct form that numpy's reader and the sort by columns replace:
+    every row is parsed and checked in file order, so the first bad row
+    raises; then each subject's rows are sorted by time and built into a
+    SubjectData. A leading byte-order mark is skipped, as the reader does.
     """
     rule, covariate_cols = dataio._design_columns(design)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -181,10 +181,13 @@ def test_degenerate_range_uses_dmin_exponent():
     assert got[0, 1] == 0.5 ** 2.5
 
 
-def test_lear_correlation_rejects_bad_subject_index():
+@pytest.mark.parametrize("index", [1, -1, 0.5, "0", True])
+def test_lear_correlation_rejects_bad_subject_index(index):
     g = grid_of([1, 2, 3])
     with pytest.raises(lc.InvalidSize):
-        lc.lear_correlation(lc.LearParams(1.0, 0.5, 1.0), g, 1)
+        lc.lear_correlation(lc.LearParams(1.0, 0.5, 1.0), g, index)
+    with pytest.raises(lc.InvalidSize):
+        lc.lear_covariance(lc.LearParams(1.0, 0.5, 1.0), g, index)
 
 
 # --------------------------------------------------------------------------
@@ -195,6 +198,8 @@ def test_arma11_covariance_matches_naive_loops():
     th = lc.Arma11Params(2.0, 0.5, 0.7)
     got = lc.arma11_covariance(th, 5)
     np.testing.assert_allclose(got, naive_arma11_matrix(2.0, 0.5, 0.7, 5), atol=0)
+    # A numpy integer size is taken as SimSpec and FitOptions take one.
+    assert lc.arma11_covariance(th, np.int64(5)).tobytes() == got.tobytes()
 
 
 def test_arma11_covariance_handles_negative_parameters():

@@ -111,35 +111,64 @@ def test_read_long_csv_reads_a_long_field_in_a_column_it_does_not_use(tmp_path):
     plain = lc.read_long_csv(write(tmp_path, text.format("j"), "short.csv"))
     for name in ("times", "y", "X", "offsets"):
         assert getattr(data, name).tobytes() == getattr(plain, name).tobytes()
-    # A file numpy's reader refuses (here for a short row) goes to the csv
-    # path, which still names the long field's row.
+    # A file numpy's reader refuses (here for a short row) is walked row by
+    # row, which still names the long field's row.
     with pytest.raises(lc.ParseError, match="^row 3: field larger than field limit"):
         lc.read_long_csv(write(tmp_path, text.format("j" * 200_000) + "c,1\n"))
+
+
+def test_read_long_csv_names_the_first_bad_row(tmp_path):
+    # A short row before a row the csv module cannot read is the one named.
+    text = "subject,time,y\na,1,0.5\na,2\nb,1," + "1" * 200_000 + "\n"
+    with pytest.raises(lc.ParseError, match="^row 3: expected at least 3 fields"):
+        lc.read_long_csv(write(tmp_path, text))
+
+
+# CR line ends, and ids holding CRLF and LF, which a read that turned CRLF
+# into LF would merge into one subject measured twice at time 1.
+CR_TEXT = 'subject,time,y\r"x\r\ny",1,0.5\r"x\ny",1,0.7\r"x\r\ny",2,0.1\r"x\ny",3,0.2\r'
 
 
 @pytest.mark.parametrize("text, error", [
     (GOOD_CSV, None),
     ("subject,time,y\na,1,0.5\na,1_0,0.7\nb,1,1.5\nb,x,0.1\n", "row 5: cannot parse"),
+    # Over the csv module's field limit: numbered without reading the pipe
+    # a second time.
+    ("subject,time,y\na,1," + "1" * 200_000 + "\n", "row 2: field larger than field limit"),
+    (CR_TEXT, None),
+    ("subject,time,y,junk\na,1,0.5,j\na,2,0.7," + "j" * 200_000 + "\nb,1,1.5,j\n", None),
 ])
 def test_read_long_csv_reads_a_stream_that_cannot_seek(tmp_path, text, error):
-    # A file the fast reader refuses is read again from the top; a pipe
-    # cannot be, so it goes to the csv path at once.
+    # A pipe is read into memory first, so it is read as the same file on
+    # disk is. The read runs in a thread of its own: one that blocks fails
+    # the test instead of hanging the suite.
     fifo = tmp_path / "pipe.csv"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    outcome = []
+
+    def read():
+        try:
+            outcome.append(lc.read_long_csv(fifo))
+        except lc.LearcovError as exc:
+            outcome.append(exc)
+
+    writer = threading.Thread(target=fifo.write_bytes, args=(text.encode(),), daemon=True)
+    reader = threading.Thread(target=read, daemon=True)
     writer.start()
-    try:
-        if error is None:
-            data = lc.read_long_csv(fifo)
-            want = lc.read_long_csv(write(tmp_path, text))
-            for name in ("times", "y", "X", "offsets"):
-                assert getattr(data, name).tobytes() == getattr(want, name).tobytes()
-        else:
-            with pytest.raises(lc.ParseError, match=error):
-                lc.read_long_csv(fifo)
-    finally:
-        writer.join(timeout=60)
-    assert not writer.is_alive()
+    reader.start()
+    reader.join(timeout=60)
+    writer.join(timeout=60)
+    assert not reader.is_alive() and not writer.is_alive()
+    (got,) = outcome
+    if error is None:
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        want = lc.read_long_csv(path)
+        for name in ("times", "y", "X", "offsets"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    else:
+        assert isinstance(got, lc.ParseError)
+        assert str(got).startswith(error)
 
 
 def test_read_long_csv_rejects_non_finite_values(tmp_path):
@@ -275,7 +304,8 @@ def odd_csv_text(draw):
     """A long-format CSV written by hand, with a few odd cells: numbers from
     ODD_NUMBERS, ids and spare fields drawn from an alphabet of commas,
     quotes, line breaks, NUL, U+2028 and spaces, rows cut short or run
-    long, and lines ended by LF, CRLF or CR."""
+    long, lines ended by LF, CRLF or CR, and now and then a leading
+    byte-order mark."""
     header = draw(st.permutations(COLUMNS))
     # Odd cells in twenty: none, some, or many.
     rate = draw(st.sampled_from([0, 1, 4]))
@@ -303,7 +333,9 @@ def odd_csv_text(draw):
         lines.insert(draw(st.integers(1, len(lines))), "")
     ends = [end or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     text = "".join(line + e for line, e in zip(lines, ends))
-    return text if draw(st.booleans()) else text[:-len(ends[-1])]
+    if not draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return "\ufeff" + text if draw(st.booleans()) else text
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,7 +370,7 @@ ROWS = "a,1,0.5\na,2,0.7\nb,1,1.5\nb,3,0.1\n"
     (ROWS.replace("b,1,1.5", "b,1,1.5,spare"), True),
 ])
 def test_the_fast_read_takes_what_it_reads_as_the_csv_path_does(tmp_path, text, fast):
-    # Where numpy's reader takes a file, its columns are the csv path's;
+    # Where numpy's reader takes a file, its columns are the per-row read's;
     # where it could differ from float(), it refuses the file.
     path = write(tmp_path, "subject,time,y\n" + text)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
