@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from ._jsonio import dumps
-from .core import Arma11Params, LearParams, build_grid, lear_covariance
+from .core import Arma11Params, LearParams, _Patterns, build_grid, lear_covariance
 from .errors import InvalidParams, LearcovError, ParseError
 from .model import CRITERIA, DESIGN_RULES, PARAMETERIZATIONS, FitOptions
 
@@ -97,11 +97,15 @@ def _design_from_flag(text: str):
     return text if text in DESIGN_RULES else [c.strip() for c in text.split(",")]
 
 
-_INPUT_OPTIONS = (
+# The input and columns of a check; a fit also reads y and the design.
+_TIME_OPTIONS = (
     click.option("--input", "input_path", type=click.Path(), default=None,
                  help="Long-format CSV file."),
     click.option("--subject-col", default="subject", show_default=True),
     click.option("--time-col", default="time", show_default=True),
+)
+_INPUT_OPTIONS = (
+    *_TIME_OPTIONS,
     click.option("--y-col", default="y", show_default=True),
     click.option("--design", default="intercept", show_default=True,
                  help="intercept, intercept-time, or comma-separated "
@@ -345,14 +349,17 @@ def reparam_cmd(p: dict) -> dict:
     return payload
 
 
-@_command("check-special-case", *_INPUT_OPTIONS)
+@_command("check-special-case", *_TIME_OPTIONS)
 def check_special_case_cmd(p: dict) -> dict:
     """Report whether a dataset's grid reduces to unit-spaced integers."""
+    from .dataio import _read_sorted
     from .reparam import _special_case
 
-    # The dataset's pattern table, without the per-subject grid.
-    data = _load_data(p)
-    report = _special_case(data._patterns, data._extremes()[0])
+    # The verdict depends on the times alone: no y, design or dataset.
+    values, offsets = _read_sorted(_require_flag(p, "input_path", "--input"),
+                                   [p["subject_col"], p["time_col"]])
+    patterns = _Patterns(values[0], offsets)
+    report = _special_case(patterns, patterns.defined_extremes()[0])
     # The verdict first, then the flags behind it in field order.
     return {"eligible": report.eligible, **asdict(report)}
 

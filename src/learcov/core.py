@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementGrid:
     """Per-subject measurement times plus pooled distance extremes.
 
@@ -217,6 +217,14 @@ class _Patterns:
             return None
         return (float(min(np.diff(stack, axis=1).min() for stack in multi)),
                 float(max((stack[:, -1] - stack[:, 0]).max() for stack in multi)))
+
+    def defined_extremes(self) -> tuple[float, float]:
+        """``extremes``, or DegenerateGrid when no distance is defined."""
+        if self.extremes is None:
+            raise DegenerateGrid(
+                "every subject has a single measurement; no distance is defined"
+            )
+        return self.extremes
 
 
 def _pooled_grid(
@@ -412,7 +420,10 @@ def lear_correlation(
             f"{grid.n_subjects} subjects"
         )
     times = grid.subject_times[subject_index]
-    return _lear_corr(params.rho_l, params.delta, times, grid.d_min, grid.d_max)
+    # A delta near the float limit can overflow the exponent to inf, and
+    # rho_l ** inf is 0, the entry's limit.
+    with np.errstate(over="ignore"):
+        return _lear_corr(params.rho_l, params.delta, times, grid.d_min, grid.d_max)
 
 
 def lear_covariance(

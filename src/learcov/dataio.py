@@ -123,6 +123,25 @@ def read_long_csv(
     """
     rule, covariate_cols = _design_columns(design)
     names = [subject_col, time_col, y_col, *covariate_cols]
+    values, offsets = _read_sorted(path, names)
+    t = values[0]
+    if covariate_cols:
+        X = np.ascontiguousarray(values[2:].T)
+    else:
+        X = rule_design(rule, t)
+    return RepeatedMeasuresData._from_columns(t, values[1], X, offsets)
+
+
+def _read_sorted(path, names):
+    """The columns ``names`` of the CSV at ``path``, rows sorted by subject.
+
+    ``names`` starts with the subject column; the rest are parsed as
+    numbers, and the first of them is the time. Returns the numeric columns
+    as one (columns, rows) array, in ``names`` order and sorted as
+    read_long_csv orders rows, and each subject's row offsets into it.
+    Raises what read_long_csv raises for these columns: columns the file
+    has but ``names`` leaves out are not parsed.
+    """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         if not fh.seekable():
             # Kept whole so that a file numpy's reader refuses can be walked
@@ -150,14 +169,7 @@ def read_long_csv(
         raise DegenerateGrid(
             "a single measurement defines no distances; need at least two rows"
         )
-
-    t = values[0]
-    if covariate_cols:
-        X = np.ascontiguousarray(values[2:].T)
-    else:
-        X = rule_design(rule, t)
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(rank))))
-    return RepeatedMeasuresData._from_columns(t, values[1], X, offsets)
+    return values, np.concatenate(([0], np.cumsum(np.bincount(rank))))
 
 
 def _load_columns(fh, positions):

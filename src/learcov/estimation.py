@@ -609,7 +609,7 @@ def _check_choices(criterion: str, parameterization: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileEstimates:
     """Log-likelihood and the profiled-out nuisance optima at fixed theta."""
 
@@ -681,7 +681,7 @@ def _plain_dict(items) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of a covariance model fit.
 
@@ -858,7 +858,7 @@ def fit(
     """
     _check_choices(criterion, parameterization)
     opts = options or FitOptions()
-    d_min, d_max = data._extremes()
+    d_min, d_max = data._patterns.defined_extremes()
     d_range = d_max - d_min
     if d_range <= 0.0:
         which = "delta" if parameterization == "lear" else "rho_a"
@@ -991,7 +991,7 @@ def fit(
 # dual-parameterization comparison
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Both fits on the same data plus an agreement summary.
 

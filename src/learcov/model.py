@@ -19,7 +19,7 @@ from itertools import pairwise
 import numpy as np
 
 from .core import MeasurementGrid, _Patterns, _pooled_grid, validated_times
-from .errors import DegenerateGrid, InvalidParams, InvalidSize, RankDeficient
+from .errors import InvalidParams, InvalidSize, RankDeficient
 
 __all__ = [
     "SubjectData",
@@ -49,7 +49,7 @@ def rule_design(rule: str, times: np.ndarray) -> np.ndarray:
     raise InvalidParams(f"design must be one of {DESIGN_RULES} (got {rule!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubjectData:
     """One subject's measurement times, responses, and design rows."""
 
@@ -164,21 +164,13 @@ class RepeatedMeasuresData:
         """The subjects' distinct time patterns, found once per dataset."""
         return _Patterns(self.times, self.offsets)
 
-    def _extremes(self) -> tuple[float, float]:
-        """The grid's (d_min, d_max), read from the pattern table."""
-        if self._patterns.extremes is None:
-            raise DegenerateGrid(
-                "every subject has a single measurement; no distance is defined"
-            )
-        return self._patterns.extremes
-
     @cached_property
     def grid(self) -> MeasurementGrid:
         """The measurement grid, built on first access.
 
         Its times are views of the frozen flat times, so it copies nothing.
         """
-        self._extremes()  # a dataset without distances has no grid
+        self._patterns.defined_extremes()  # no distances, no grid
         return _pooled_grid([self.times[a:b] for a, b in self._bounds()],
                             patterns=self._patterns)
 

@@ -222,7 +222,7 @@ def standard_normals(seed: int, subject_index: int, n: int) -> np.ndarray:
     return _normals(seed, np.array([subject], dtype=np.uint64), int(n))[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimSpec:
     """What to simulate.
 

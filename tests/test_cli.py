@@ -255,6 +255,61 @@ def test_check_special_case_reports_eligibility(tmp_path):
     assert out["eligible"] is False
 
 
+# Times a: 1, 2, 3 and b: 2, 3, an eligible grid; the checks below spoil
+# each file in a column other than the subject and time.
+CHECK_ROWS = [("a", "1"), ("a", "2"), ("b", "2"), ("a", "3"), ("b", "3")]
+
+
+def check_csv(tmp_path, header, cells):
+    rows = [",".join([*key, *extra]) for key, extra in zip(CHECK_ROWS, cells)]
+    path = tmp_path / "check.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("header, cells", [
+    ("subject,time", [[]] * 5),
+    ("subject,time,y", [["0.5"], ["x"], ["1"], ["2"], ["3"]]),
+    ("subject,time,y", [["0.5"], ["inf"], ["1"], ["nan"], ["3"]]),
+    ("subject,time,y", [["0.5"], [], ["1"], [], ["3"]]),
+    ("subject,time,y", [["0.5"], ["1" * 200_000], ["1"], ["2"], ["3"]]),
+], ids=["no-y", "unparsable-y", "non-finite-y", "short-rows", "long-y"])
+def test_check_special_case_reads_only_the_subject_and_time(tmp_path, header, cells):
+    out = payload_of(invoke("check-special-case", "--input",
+                            check_csv(tmp_path, header, cells)))
+    assert out == {
+        "schema_version": 1, "command": "check-special-case", "eligible": True,
+        "equally_spaced": True, "integer_distances": True, "dmin_is_one": True,
+        "spacing": 1.0,
+    }
+
+
+@pytest.mark.parametrize("config, fit_token", [
+    # A constant covariate makes the fit's design rank-deficient.
+    ("design=dose\n", "E_RANK_DEFICIENT"),
+    ("y_col=weight\n", "E_PARSE_ERROR"),
+], ids=["design", "y-col"])
+def test_check_special_case_ignores_the_fit_keys_of_a_config(tmp_path, config,
+                                                             fit_token):
+    path = check_csv(tmp_path, "subject,time,y,dose", [["1", "0"]] * 5)
+    config_path = tmp_path / "check.cfg"
+    config_path.write_text(config, encoding="utf-8")
+    fit = invoke("fit", "--input", path, "--config", str(config_path))
+    assert fit.stdout == fit_token + "\n"
+    out = payload_of(invoke("check-special-case", "--input", path,
+                            "--config", str(config_path)))
+    assert out["eligible"] is True
+
+
+def test_check_special_case_names_the_first_bad_time(tmp_path):
+    # The bad y of row 2 is not read; the bad time of row 4 is named.
+    path = tmp_path / "check.csv"
+    path.write_text("subject,time,y\na,1,x\na,2,1\nb,t,1\nb,3,1\n", encoding="utf-8")
+    result = invoke("check-special-case", "--input", str(path))
+    assert (result.exit_code, result.stdout) == (20, "E_PARSE_ERROR\n")
+    assert result.stderr == "ParseError: row 4: cannot parse time='t' as a number\n"
+
+
 # --------------------------------------------------------------------------
 # simulate / fit / compare over files
 

@@ -167,7 +167,8 @@ def commands(files, tmp):
             "--rho-a": numbers("0.5"), "--range": numbers("2", "3"),
             "--times": times,
         }, switches=["--verify"]),
-        invocation("check-special-case", data),
+        invocation("check-special-case",
+                   {flag: data[flag] for flag in ("--input", "--config")}),
         invocation("simulate", {
             "--spec": spec_files(files, tmp),
             "--out": (st.just(files["out"]), st.sampled_from([files["directory"], ""])),
@@ -214,6 +215,7 @@ def test_every_run_ends_in_json_or_a_token(files, spec_dir):
     # Random draws seldom reach these, once faults of their own.
     @example(["check-special-case", "--input", files["long-field"]])
     @example(["--bogus", "fit", "--input", files["unit"]])
+    @example(["build-matrix", "--rho-l", "0", "--delta", "1e308", "--times", "2,4,6,8"])
     def run(args):
         check_contract(args)
 
@@ -228,6 +230,9 @@ def test_every_run_ends_in_json_or_a_token(files, spec_dir):
     ["build-matrix", "--rho-l", "x", "--delta", "1", "--times", "1,2"],
     ["fit", "--input", "{unit}", "--no-such-flag"],
     ["--bogus", "fit", "--input", "{unit}"],
+    # Flags of a fit that the check does not read.
+    ["check-special-case", "--input", "{unit}", "--design", "intercept"],
+    ["check-special-case", "--input", "{unit}", "--y-col", "y"],
 ])
 def test_resource_and_flag_errors_are_invalid_params(files, args):
     result = check_contract([a.format(**files) for a in args])

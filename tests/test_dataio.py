@@ -1,11 +1,12 @@
 import csv
 import json
 import os
+import re
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
@@ -348,6 +349,56 @@ def test_read_long_csv_matches_the_per_row_read_on_odd_text(
     assert read_outcome(lc.read_long_csv, path, design) == read_outcome(
         per_row_read_long_csv, path, design
     )
+
+
+# Faults of the full read that lie in the subject or time column, or in no
+# column: the read of those two columns alone meets them as well.
+TIME_FAULTS = re.compile(
+    r"row \d+: (cannot parse time=|time=.* is not finite|duplicate measurement)"
+    r"|a single measurement|no data rows"
+)
+
+
+def csv_error(path):
+    """The csv module's message for the file, or None when it reads it."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            list(csv.reader(fh))
+        except csv.Error as exc:
+            return str(exc)
+    return None
+
+
+LONG_FIELD = "1" * 200_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_csv_text())
+# Fields over the csv module's limit, which odd_csv_text does not draw.
+@example(f"subject,time,y\na,1,0.5\na,{LONG_FIELD},0.7\nb,1,1\n")
+@example(f"subject,time,y\na,1,0.5\na,2,{LONG_FIELD}\nb,1,1\n")
+def test_the_times_read_alone_as_in_the_full_read(tmp_path_factory, text):
+    # check-special-case reads the subject and time columns alone.
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        values, offsets = dataio._read_sorted(path, ["subject", "time"])
+        narrowed = values[0].tobytes(), offsets.tobytes()
+    except lc.LearcovError as exc:
+        narrowed = type(exc), str(exc)
+    try:
+        data = lc.read_long_csv(path)
+    except lc.LearcovError as exc:
+        full = type(exc), str(exc)
+        error = csv_error(path)
+        if TIME_FAULTS.match(full[1]):
+            assert narrowed == full
+        elif error is not None and full[1].endswith(f": {error}"):
+            # The same error, unless numpy's reader takes the two columns
+            # whole: it skips the other fields, however long.
+            assert narrowed == full or isinstance(narrowed[0], bytes)
+        return
+    assert narrowed == (data.times.tobytes(), data.offsets.tobytes())
 
 
 ROWS = "a,1,0.5\na,2,0.7\nb,1,1.5\nb,3,0.1\n"

@@ -1147,6 +1147,28 @@ def test_the_arma11_box_ignores_the_delta_cap():
     assert huge.to_dict() == lc.fit(data, "arma11").to_dict()
 
 
+RECORD_DATA = simulated_dataset(20, [1, 2, 3, 4], seed=5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lc.build_grid([[1.0, 2.0, 3.0]]),
+    lambda: lc.SubjectData([1.0, 2.0], [0.5, 0.7], [[1.0], [1.0]]),
+    lambda: lc.RepeatedMeasuresData(RECORD_DATA.subjects),
+    lambda: lc.SimSpec(n_subjects=2, times=(np.arange(1.0, 4.0),),
+                       beta=np.array([1.0]), covariance=lc.LearParams(1.0, 0.5, 1.0),
+                       seed=1),
+    lambda: lc.profile_estimates(RECORD_DATA, (0.5, 1.0)),
+    lambda: lc.fit(RECORD_DATA),
+    lambda: lc.compare_parameterizations(RECORD_DATA),
+], ids=["MeasurementGrid", "SubjectData", "RepeatedMeasuresData", "SimSpec",
+        "ProfileEstimates", "FitResult", "ComparisonReport"])
+def test_records_holding_arrays_compare_and_hash_by_identity(build):
+    # Field by field, == would take the truth value of an array.
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_fit_is_deterministic():
     data = simulated_dataset(40, [1, 2, 3, 4], seed=17)
     a = lc.fit(data)

@@ -222,7 +222,7 @@ def test_the_pattern_table_matches_the_per_subject_scan(vectors):
         eager.d_min.hex(), eager.d_max.hex(), None)
     reference = per_subject_special_case(eager)
     assert lc.check_special_case(grid) == reference
-    assert _special_case(table, data._extremes()[0]) == reference
+    assert _special_case(table, table.defined_extremes()[0]) == reference
     assert outcome(lc.normalize_grid, grid) == outcome(
         per_subject_normalize_grid, eager)
 
