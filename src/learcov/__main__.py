@@ -5,10 +5,12 @@ import gc
 def main() -> None:
     """Run the learcov program (``cli.run``) on a frozen import heap.
 
-    The collector is paused while ``learcov.cli`` imports numpy and click,
-    and ``gc.freeze`` then moves every object they made out of its reach:
-    they live as long as the process, so a collection during the command
-    would traverse them for nothing.
+    The collector is paused while ``learcov.cli`` imports numpy and the
+    learcov modules every command uses, and ``gc.freeze`` then moves every
+    object they made out of its reach: they live as long as the process, so
+    a collection during the command would traverse them for nothing. The CLI
+    is built on the standard library alone, and ``cli.run`` builds the
+    options of the invoked command only.
     """
     gc.disable()
     try:

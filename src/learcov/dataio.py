@@ -19,9 +19,10 @@ A file is written a block of rows (_WRITE_BLOCK) at a time, each block
 formatted by one % call. Each distinct time is formatted once and each
 subject id quoted once; only y is formatted per row.
 
-The dataset type and the design rules come from learcov.model, so reading
-and writing CSV loads neither the estimation nor the simulation module;
-load_sim_spec imports sim for SimSpec when it is called.
+The dataset type and the design rules come from learcov.model, which
+read_long_csv imports when it is called, as load_sim_spec imports sim for
+SimSpec: reading and writing CSV loads neither the estimation nor the
+simulation module, and reading only columns (_read_sorted) not the model.
 """
 from __future__ import annotations
 
@@ -45,9 +46,9 @@ from .errors import (
     InvalidParams,
     ParseError,
 )
-from .model import DESIGN_RULES, RepeatedMeasuresData, rule_design
 
 if TYPE_CHECKING:
+    from .model import RepeatedMeasuresData
     from .sim import SimSpec
 
 __all__ = [
@@ -82,6 +83,8 @@ def _parse_number(text: str, row: int, column: str) -> float:
 
 
 def _design_columns(design) -> tuple[str | None, list[str]]:
+    from .model import DESIGN_RULES
+
     if isinstance(design, str):
         if design not in DESIGN_RULES:
             raise InvalidParams(
@@ -121,6 +124,8 @@ def read_long_csv(
         DuplicateMeasurement: repeated (subject, time) pair.
         DegenerateGrid: fewer than two measurements in the whole file.
     """
+    from .model import RepeatedMeasuresData, rule_design
+
     rule, covariate_cols = _design_columns(design)
     names = [subject_col, time_col, y_col, *covariate_cols]
     values, offsets = _read_sorted(path, names)

@@ -6,19 +6,29 @@ different way.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import io
 import math
+from typing import NamedTuple
 
 import numpy as np
+from hypothesis import settings
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 import learcov as lc
-from learcov import dataio, estimation
+from learcov import cli, dataio, estimation
 from learcov.sim import rule_design
 
 ACCEPTANCE_LINES: list[str] = []
+
+# The hypothesis profile under which test_cli_fuzz.py draws new examples on
+# each run; tier-1 draws the same ones. Registered here, where pytest's
+# --hypothesis-profile option can find it.
+FUZZ_EXPLORE = "fuzz-explore"
+settings.register_profile(FUZZ_EXPLORE, max_examples=5000)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -33,6 +43,21 @@ def record_criterion(number: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     ACCEPTANCE_LINES.append(f"[criterion {number}] {status} {name}: {detail}")
     assert ok, f"criterion {number} ({name}): {detail}"
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(args) -> CliResult:
+    """``learcov args`` in this process: ``cli.main`` with stdout and stderr
+    captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        exit_code = cli.main(list(args))
+    return CliResult(exit_code, out.getvalue(), err.getvalue())
 
 
 def naive_lear_matrix(sigma2, rho_l, delta, times, d_min, d_max) -> np.ndarray:
@@ -211,12 +236,37 @@ def per_subject_normalize_grid(grid, rel_tol=1e-9) -> lc.MeasurementGrid:
     return dataclasses.replace(lc.build_grid(new_times), spacing=h)
 
 
+# Each subject's normals, by (templates, n, seed): the nine (covariance,
+# design) pairs of test_sim.py's comparison draw the same ones.
+_NORMALS: dict[tuple, list[np.ndarray]] = {}
+
+
+def per_subject_normals(spec) -> list[np.ndarray]:
+    """Subject i's standard normals, drawn one subject at a time.
+
+    numpy's own Philox keyed by (seed, i), the documented uniform map and
+    ``scipy.special.ndtri``; memoised per (templates, n, seed).
+    """
+    key = (tuple(t.tobytes() for t in spec.times), spec.n_subjects, spec.seed)
+    if key not in _NORMALS:
+        normals = []
+        for i in range(spec.n_subjects):
+            size = spec.times[i % len(spec.times)].size
+            key_words = np.array([spec.seed, i], dtype=np.uint64)
+            raw = np.random.Philox(key=key_words).random_raw(size)
+            u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+            normals.append(ndtri(np.minimum(u, 1.0 - 2.0 ** -53)))
+        _NORMALS[key] = normals
+    return _NORMALS[key]
+
+
 def per_subject_simulate(spec) -> lc.RepeatedMeasuresData:
     """``simulate`` with one generator and one draw per subject.
 
-    The direct form that the per-template draws replace: numpy's own
-    Philox keyed by (seed, i), the documented uniform map,
-    ``scipy.special.ndtri`` and one ``L @ z`` for each subject in turn.
+    The direct form that the per-template draws replace: the normals of
+    ``per_subject_normals`` and one ``L @ z`` for each subject in turn. The
+    dataset is built from the concatenated columns once y and X are checked
+    finite, as SubjectData checks them.
     """
     n_templates = len(spec.times)
     subject_template = [i % n_templates for i in range(spec.n_subjects)]
@@ -236,17 +286,17 @@ def per_subject_simulate(spec) -> lc.RepeatedMeasuresData:
             )
     designs = {k: spec.design_matrix(k) for k in used}
 
-    subjects = []
-    for i, k in enumerate(subject_template):
-        t = spec.times[k]
-        X = designs[k]
-        key = np.array([spec.seed, i], dtype=np.uint64)
-        raw = np.random.Philox(key=key).random_raw(t.size)
-        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-        z = ndtri(np.minimum(u, 1.0 - 2.0 ** -53))
-        y = X @ spec.beta + factors[k] @ z
-        subjects.append(lc.SubjectData(t, y, X))
-    return lc.RepeatedMeasuresData(tuple(subjects))
+    normals = per_subject_normals(spec)
+    y = np.concatenate([designs[k] @ spec.beta + factors[k] @ z
+                        for k, z in zip(subject_template, normals)])
+    X = np.concatenate([designs[k] for k in subject_template])
+    if not (np.isfinite(y).all() and np.isfinite(X).all()):
+        raise lc.InvalidSize("y and X must be finite")
+    sizes = [spec.times[k].size for k in subject_template]
+    return lc.RepeatedMeasuresData._from_columns(
+        np.concatenate([spec.times[k] for k in subject_template]), y, X,
+        np.concatenate(([0], np.cumsum(sizes))),
+    )
 
 
 def per_row_read_long_csv(

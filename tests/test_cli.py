@@ -4,18 +4,14 @@ from inspect import signature
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import learcov as lc
 from learcov import cli
-from learcov.cli import main
-from conftest import simulated_dataset
-
-runner = CliRunner()
+from conftest import run_cli, simulated_dataset
 
 
 def invoke(*args):
-    return runner.invoke(main, list(args))
+    return run_cli(args)
 
 
 def payload_of(result):
@@ -48,13 +44,26 @@ def test_malformed_group_flags_are_invalid_params(args):
     assert result.stderr.startswith("InvalidParams: ")
 
 
-def test_help_is_left_to_click():
-    usage = "Usage: main [OPTIONS] COMMAND [ARGS]..."
+def test_help_lists_the_commands():
     result = invoke("--help")
-    assert result.exit_code == 0 and result.stdout.startswith(usage)
-    # A bare learcov shows the help too; click chooses the stream and the
-    # exit code.
-    assert invoke().output.startswith(usage)
+    assert result.exit_code == 0 and result.stdout.startswith("usage: learcov ")
+    for name, command in cli._COMMANDS.items():
+        assert f"\n  {name} " in result.stdout
+        assert command.summary in result.stdout
+    # A bare learcov shows the same help on stderr, and exits 2.
+    assert invoke() == (2, "", result.stdout)
+
+
+@pytest.mark.parametrize("command", ["build-matrix", "reparam", "check-special-case",
+                                     "simulate", "fit", "compare"])
+def test_help_of_a_command_names_its_flags(command):
+    # --help comes before the values are converted.
+    result = invoke(command, "--sigma2", "x", "--help") if command in (
+        "build-matrix", "reparam") else invoke(command, "--help")
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.startswith(f"usage: learcov {command} [OPTIONS]")
+    for option in cli._options(command):
+        assert option.flag in result.stdout
 
 
 def test_reparam_forward_example():
@@ -498,15 +507,15 @@ INPUT_FLAGS = {"input_path", "subject_col", "time_col", "y_col", "design"}
 
 @pytest.mark.parametrize("command", ["fit", "compare"])
 def test_fit_flags_mirror_fit_options(command):
-    params = {p.name: p for p in main.commands[command].params}
+    params = {option.dest: option for option in cli._options(command)}
     own = set(params) - INPUT_FLAGS - {"config", "parameterization"}
     assert own == {"criterion", *(f.name for f in fields(lc.FitOptions))}
     assert params["criterion"].default == signature(lc.fit).parameters["criterion"].default
     for f in fields(lc.FitOptions):
         flag = params[f.name]
-        assert flag.opts == ["--" + f.name.replace("_", "-")]
+        assert flag.flag == "--" + f.name.replace("_", "-")
         assert flag.default == f.default and type(flag.default) is type(f.default)
-        assert flag.is_flag == isinstance(f.default, bool)
+        assert (flag.convert is cli._bool) == isinstance(f.default, bool)
     if command == "fit":
         assert params["parameterization"].default == (
             signature(lc.fit).parameters["parameterization"].default
@@ -566,3 +575,55 @@ def test_config_file_must_exist(tmp_path):
     result = invoke("build-matrix", "--times", "1,2,3",
                     "--config", str(tmp_path / "missing.cfg"))
     assert result.exit_code == 20
+
+
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # The mark used to become part of the first key, which was then ignored.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\ufeffrho-l=0.5\ndelta=1\n", encoding="utf-8")
+    out = payload_of(invoke("build-matrix", "--times", "1,2,3",
+                            "--config", str(cfg)))
+    assert (out["rho_l"], out["delta"]) == (0.5, 1.0)
+
+
+@pytest.mark.parametrize("flag", ["--config", "--input"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, flag):
+    # Both used to end in a UnicodeDecodeError traceback.
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"subject,time,y\na,1,\xe9\n")
+    args = ["--input", str(path)] if flag == "--input" else [
+        "--input", dataset_csv(tmp_path, 10), "--config", str(path)]
+    result = invoke("fit", *args)
+    assert (result.exit_code, result.stdout) == (20, "E_PARSE_ERROR\n")
+    assert result.stderr.startswith("ParseError: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_a_config_path_with_a_nul_byte_is_invalid_params(tmp_path):
+    # It used to end in a ValueError traceback.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("input=data\x00.csv\n", encoding="utf-8")
+    result = invoke("fit", "--config", str(cfg))
+    assert (result.exit_code, result.stdout) == (12, "E_INVALID_PARAMS\n")
+    assert result.stderr == "InvalidParams: Invalid value for '--input': embedded null byte\n"
+
+
+def test_an_existing_path_that_cannot_be_read_is_invalid_params(tmp_path, monkeypatch):
+    # As click's Path type refused it, before the file is opened.
+    path = dataset_csv(tmp_path, 10)
+    monkeypatch.setattr(cli.os, "access", lambda p, mode: False)
+    result = invoke("check-special-case", "--input", path)
+    assert (result.exit_code, result.stdout) == (12, "E_INVALID_PARAMS\n")
+    assert result.stderr == (f"InvalidParams: Invalid value for '--input': "
+                             f"Path {path!r} is not readable.\n")
+    # A path that does not exist is the reader's to report.
+    missing = invoke("check-special-case", "--input", str(tmp_path / "none.csv"))
+    assert missing.exit_code == 20
+
+
+def test_an_interrupt_ends_in_aborted(monkeypatch):
+    def interrupted(p):
+        raise KeyboardInterrupt
+
+    command = cli._COMMANDS["build-matrix"]._replace(body=interrupted)
+    monkeypatch.setitem(cli._COMMANDS, "build-matrix", command)
+    assert invoke("build-matrix") == (1, "", "\nAborted!\n")

@@ -3,25 +3,30 @@
 Every run of a subcommand either exits 0 and prints one JSON document, or
 prints one error token on stdout and exits with that token's code (10-23),
 and never ends in a traceback. All six subcommands run in this process
-through click's CliRunner. Flag values come from an edge vocabulary: zeros
-of both signs, NaN, infinities, 1e308, 2**63, huge and negative integers,
+through ``cli.main``. Flag values come from an edge vocabulary: zeros of
+both signs, NaN, infinities, 1e308, 2**63, huge and negative integers,
 non-numeric strings, and empty or malformed files, one of them with a field
-over csv's field size limit. Malformed options of the command group itself
-may come before the subcommand. Sizes stay small: no drawn value asks for
-more than a few MB.
+over csv's field size limit. Malformed options of the program itself may
+come before the subcommand. Sizes stay small: no drawn value asks for more
+than a few MB.
+
+Tier-1 draws the same 1000 argument lists on every run (``derandomize``),
+so a fault fails the change that brings it. New draws come from the
+``fuzz-explore`` profile, run on demand:
+
+    python -m pytest tests/test_cli_fuzz.py --hypothesis-profile=fuzz-explore
 """
 import itertools
 import json
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
 from learcov import errors
-from learcov.cli import main
-from conftest import simulated_dataset
+from conftest import FUZZ_EXPLORE as EXPLORE
+from conftest import run_cli, simulated_dataset
 
 EDGE_NUMBERS = [
     "0", "-0.0", "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e-320",
@@ -33,7 +38,7 @@ EDGE_TIMES = [
     "1,nan,3", "1,inf", "-inf,0", "1e308,-1e308", "0,1e308", "1e-320,2e-320",
     "0,1e15,2e15", "2,4,6,8", "1,2,3,4,5,6",
 ]
-# Options given to the command group, before the subcommand. --help and
+# Options given to the program, before the subcommand. --help and
 # --version are left out: they print no JSON, and stop before the subcommand.
 GROUP_FLAGS = ["--bogus", "-x", "--", "-", "--version=1", "--help=yes", "fit"]
 # Every token's exit code.
@@ -43,8 +48,6 @@ TOKENS = {
     if isinstance(cls, type) and issubclass(cls, errors.LearcovError)
     and 10 <= cls.exit_code <= 23
 }
-
-runner = CliRunner()
 
 
 @st.composite
@@ -187,11 +190,11 @@ def commands(files, tmp):
 
 def check_contract(args):
     """Run ``learcov args`` and assert the contract; return the result."""
-    result = runner.invoke(main, args)
     where = f"learcov {' '.join(map(repr, args))}"
-    assert result.exception is None or isinstance(result.exception, SystemExit), (
-        f"{where} raised {result.exception!r}"
-    )
+    try:
+        result = run_cli(args)
+    except Exception as exc:
+        raise AssertionError(f"{where} raised {exc!r}") from exc
     assert "Traceback" not in result.stderr, where
     if result.exit_code == 0:
         json.loads(result.stdout)
@@ -209,7 +212,10 @@ def spec_dir(tmp_path_factory):
 
 
 def test_every_run_ends_in_json_or_a_token(files, spec_dir):
-    @settings(max_examples=1000, deadline=None, database=None,
+    # The same 1000 draws on every run, unless the profile is fuzz-explore.
+    exploring = settings.get_current_profile_name() == EXPLORE
+    @settings(max_examples=settings.default.max_examples if exploring else 1000,
+              derandomize=not exploring, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(commands(files, spec_dir))
     # Random draws seldom reach these, once faults of their own.

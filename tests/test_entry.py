@@ -3,11 +3,10 @@
 ``learcov.cli.run`` ends the process with ``os._exit`` once the output is
 flushed, skipping the interpreter's teardown; ``learcov.__main__.main``
 imports the CLI with the collector paused and runs it. Each case here runs
-``python -m learcov`` and, as the reference, ``main`` as a plain click
-program left to the interpreter's exit (what ``python -m learcov`` ran
-before ``run``). The two must give the same stdout bytes, the same stderr
-once each traceback's frames are set aside (the frames name ``run``), and
-the same exit status, which is also pinned.
+``python -m learcov`` and, as the reference, ``sys.exit(cli.main())``: the
+same program left to the interpreter's exit. The two must give the same
+stdout bytes, the same stderr once each traceback's frames are set aside
+(the frames name ``run``), and the same exit status, which is also pinned.
 """
 import ast
 import gc
@@ -20,11 +19,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import learcov as lc
-from learcov import cli
-from conftest import simulated_dataset
+from conftest import run_cli, simulated_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 # Children run with the checkout's src first on the path and, unless a case
@@ -36,7 +33,7 @@ ENV["PYTHONPATH"] = os.pathsep.join(
 UNBUFFERED = dict(ENV, PYTHONUNBUFFERED="1")
 PROGRAM = [sys.executable, "-m", "learcov"]
 REFERENCE = [sys.executable, "-c",
-             "from learcov.cli import main; main(prog_name='learcov')"]
+             "import sys; from learcov.cli import main; sys.exit(main())"]
 
 
 def frames_set_aside(stderr: bytes) -> str:
@@ -97,8 +94,8 @@ CASES = [
     ("stdout-closed", BUILD, 0, "closed"),
     ("stdout-closed-error", ["--bogus"], 12, "closed"),
     ("stderr-closed-error", ["--bogus"], 12, "stderr-closed"),
-    # click's write fails; the token is not written, its message goes to
-    # stderr, and then the interpreter's flush of what is left fails.
+    # The write of the output fails; the token is not written, its message
+    # goes to stderr, and then the interpreter's flush of what is left fails.
     ("stdout-full", BUILD, 120, "/dev/full"),
     ("stdout-full-error", ["--bogus"], 120, "/dev/full"),
 ]
@@ -187,7 +184,7 @@ def test_a_refinement_from_infinite_values_writes_nothing_to_stderr(tmp_path):
 def test_output_larger_than_a_pipe_arrives_whole():
     args = text_matrix(120)
     status, stdout, stderr = outcome(PROGRAM, args)
-    want = CliRunner().invoke(cli.main, args).stdout_bytes
+    want = run_cli(args).stdout.encode()
     assert len(want) > 4 * 65536
     assert (status, stderr) == (0, "")
     assert stdout == want
@@ -205,12 +202,12 @@ def handler():
 atexit.register(handler)
 from learcov.cli import {entry}
 sys.argv = ["learcov", *json.loads(sys.argv[1])]
-{entry}({call})
+{call}
 """
 
 
 def with_atexit_handler(entry, args, fails=False, stdout=subprocess.PIPE):
-    call = "prog_name='learcov'" if entry == "main" else ""
+    call = "sys.exit(main())" if entry == "main" else "run()"
     child = ATEXIT_CHILD.format(entry=entry, call=call, fails=fails)
     return outcome([sys.executable, "-c", child], [json.dumps(args)], stdout=stdout)
 
@@ -285,7 +282,7 @@ def test_the_program_runs_on_a_frozen_import_heap():
 
 def test_main_in_process_leaves_the_collector_alone():
     frozen = gc.get_freeze_count()
-    result = CliRunner().invoke(cli.main, BUILD)
+    result = run_cli(BUILD)
     assert result.exit_code == 0
     assert gc.get_freeze_count() == frozen
     assert gc.isenabled()

@@ -2,10 +2,11 @@
 
 Importing scipy takes longer than most commands take to run, and no command
 needs it: scipy is a test-only dependency, the oracle the ports are checked
-against. Nor does a command load learcov modules it does not run: simulate
-never loads the estimation code, and check-special-case neither that nor
-the simulator. ``import learcov`` itself loads no module until a name is
-used. These tests read ``sys.modules`` after the import or the command,
+against. No command loads click either: the CLI is built on the standard
+library. Nor does a command load learcov modules it does not run: simulate
+never loads the estimation code, check-special-case neither that nor the
+simulator, and check-special-case and build-matrix not learcov.model.
+``import learcov`` itself loads no module until a name is used. These tests read ``sys.modules`` after the import or the command,
 never a wall-clock time, and run every command once more with scipy
 unimportable.
 """
@@ -25,27 +26,28 @@ from conftest import simulated_dataset
 ROOT = Path(__file__).resolve().parents[1]
 
 # Imports learcov, then runs the command given as a JSON argument list (if
-# any) through CliRunner, fails if numpy.ma was loaded, and prints its exit
-# code and the scipy, numpy and learcov modules loaded.
+# any) through cli.main with its output captured, fails if numpy.ma was
+# loaded, and prints its exit code and the scipy, numpy, click and learcov
+# modules loaded.
 CHILD = """
-import json, sys
+import contextlib, io, json, sys
 import learcov
 args = json.loads(sys.argv[1])
 exit_code = None
 if args:
-    from click.testing import CliRunner
     from learcov.cli import main
-    result = CliRunner().invoke(main, args)
-    exit_code = result.exit_code
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output):
+        exit_code = main(args)
     if exit_code != 0:
-        sys.stderr.write(result.output)
+        sys.stderr.write(output.getvalue())
 # numpy.ma costs a command about 10 ms; a bare np.unique(x) imports it.
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 print(json.dumps({
     "exit_code": exit_code,
     "modules": sorted(
         m for m in sys.modules
-        if m.split(".")[0] in ("scipy", "numpy", "learcov")
+        if m.split(".")[0] in ("scipy", "numpy", "click", "learcov")
     ),
 }))
 """
@@ -60,8 +62,8 @@ def child_env():
     return env
 
 
-def loaded_by(args, package):
-    """(exit code, ``package`` modules loaded) of ``args`` in a fresh
+def loaded_by(args, *packages):
+    """(exit code, modules of ``packages`` loaded) of ``args`` in a fresh
     interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(args)],
@@ -70,7 +72,7 @@ def loaded_by(args, package):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     return out["exit_code"], {
-        m for m in out["modules"] if m.split(".")[0] == package
+        m for m in out["modules"] if m.split(".")[0] in packages
     }
 
 
@@ -143,7 +145,7 @@ sys.meta_path.insert(0, RefuseScipy())
 CLI_MAIN = """
 import sys
 from learcov.cli import main
-main(args=sys.argv[1:], prog_name="learcov")
+sys.exit(main(sys.argv[1:]))
 """
 
 
@@ -187,8 +189,9 @@ def test_commands_run_without_scipy(files, args):
 # learcov's own modules
 
 # What every subcommand loads besides the package: the CLI and what the CLI
-# names before a command runs.
-CLI_MODULES = {"cli", "_jsonio", "core", "errors", "model"}
+# names before a command runs. A fit or compare also loads learcov.model to
+# build its flags from FitOptions.
+CLI_MODULES = {"cli", "_jsonio", "core", "errors"}
 
 
 @pytest.mark.parametrize("args, runs", [
@@ -197,19 +200,22 @@ CLI_MODULES = {"cli", "_jsonio", "core", "errors", "model"}
     (["reparam", "--direction", "lear2arma", "--times", "1,2,3",
       "--rho-l", "0.6", "--delta", "2"], {"reparam"}),
     (["check-special-case", "--input", "{csv}"], {"dataio", "reparam"}),
-    (["simulate", "--spec", "{spec}", "--out", "{out}"], {"dataio", "sim"}),
-    (["fit", "--input", "{csv}"], {"dataio", "estimation"}),
+    (["simulate", "--spec", "{spec}", "--out", "{out}"],
+     {"dataio", "model", "sim"}),
+    (["fit", "--input", "{csv}"], {"dataio", "estimation", "model"}),
     (["fit", "--input", "{csv}", "--param", "arma11"],
-     {"dataio", "estimation", "reparam"}),
-    (["compare", "--input", "{csv}"], {"dataio", "estimation", "reparam"}),
+     {"dataio", "estimation", "model", "reparam"}),
+    (["compare", "--input", "{csv}"],
+     {"dataio", "estimation", "model", "reparam"}),
 ], ids=["build-matrix", "reparam", "check-special-case", "simulate", "fit",
         "fit-arma11", "compare"])
 def test_each_command_loads_only_the_modules_it_runs(files, args, runs):
     # So simulate loads neither estimation nor reparam, check-special-case
-    # neither estimation nor sim, and fit no sim.
+    # neither estimation, sim nor model, and fit no sim.
     args = [a.format(**files) for a in args]
     expected = {"learcov", *(f"learcov.{m}" for m in CLI_MODULES | runs)}
-    assert loaded_by(args, "learcov") == (0, expected)
+    # And no click module.
+    assert loaded_by(args, "learcov", "click") == (0, expected)
 
 
 def test_import_learcov_loads_no_module_of_its_own_and_no_numpy():
