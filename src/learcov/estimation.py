@@ -67,6 +67,7 @@ from numpy.linalg import _umath_linalg
 from .core import (
     Arma11Params,
     LearParams,
+    MeasurementGrid,
     _arma11_corr,
     _lear_corr,
     arma11_covariance,
@@ -650,7 +651,7 @@ def profile_estimates(
         violations = validate_arma11_values(1.0, a, b)
     if violations:
         raise InvalidParams("; ".join(violations))
-    prep = _Prepared(data)
+    prep = data._prepared
     (result,) = _profile_points(prep, parameterization, criterion, [a], [b])
     if isinstance(result, Exception):
         raise result
@@ -895,7 +896,7 @@ def fit(
                 "range of float64"
             )
 
-    prep = _Prepared(data)
+    prep = data._prepared
 
     def profile_at(a: float, b: float):  # a _tail tuple, or the failure
         (result,) = _profile_points(prep, parameterization, criterion, [a], [b])
@@ -1026,34 +1027,41 @@ def compare_parameterizations(
 ) -> ComparisonReport:
     """Fit both parameterizations on eligible data and report agreement.
 
+    Each distinct time pattern is normalized once (see normalize_grid), and
+    both fits share the workspace of the normalized dataset.
+
     The two likelihood surfaces describe the same model family, but the
     optimizer may end up at different points, so equality of the estimated
     covariances is checked, not assumed.
     """
     from . import reparam
 
-    report = reparam.check_special_case(data.grid)
+    patterns = data._patterns
+    report = reparam._special_case(patterns, patterns.defined_extremes()[0])
     if not report.eligible:
         raise NotSpecialCase(
             "comparison needs a grid reducible to unit-spaced integer distances"
         )
-    normalized = reparam.normalize_grid(data.grid)
-    data_n = data.with_subject_times(normalized.subject_times)
+    unit = reparam._unit_times(patterns, report.spacing)
+    times = np.concatenate([unit[n] for n in patterns.ids.tolist()])
+    data_n = RepeatedMeasuresData._from_columns(times, data.y, data.X, data.offsets)
 
     lear_fit = fit(data_n, "lear", criterion, options)
     arma_fit = fit(data_n, "arma11", criterion, options)
 
-    sizes = np.diff(data_n.offsets)
-    reference = int(np.argmax(sizes))
-    p_ref = int(sizes[reference])
-    cov_lear = lear_covariance(lear_fit.estimates, data_n.grid, reference)
-    cov_arma = arma11_covariance(arma_fit.estimates, p_ref)
+    reference = int(np.argmax(np.diff(data.offsets)))
+    t_ref = unit[patterns.ids[reference]]
+    d_min, d_max = data_n._patterns.extremes
+    cov_lear = lear_covariance(lear_fit.estimates,
+                               MeasurementGrid((t_ref,), d_min, d_max))
+    cov_arma = arma11_covariance(arma_fit.estimates, t_ref.size)
     max_diff = float(np.max(np.abs(cov_lear - cov_arma)))
 
-    mapped = None
-    note = None
+    mapped = note = None
+    arma = arma_fit.estimates
     try:
-        mapped = reparam.arma_to_lear(arma_fit.estimates, data_n.grid)
+        mapped = LearParams(arma.sigma2, *reparam.map_arma11_to_lear(
+            arma.tau, arma.rho_a, d_max - d_min))
     except (OutsideLearImage, Unidentifiable, DegenerateRange) as exc:
         note = f"{type(exc).token}: {exc}"
 

@@ -6,7 +6,8 @@ and the design rules DESIGN_RULES with rule_design) live here, apart from
 the estimation and simulation code that uses them. Reading a CSV, writing
 one or checking its grid thus loads neither: this module needs only numpy,
 core and errors. estimation and sim import these names back, so they also
-resolve there.
+resolve there. A dataset keeps its estimation workspace once it is built
+(``RepeatedMeasuresData._prepared``); estimation is imported only then.
 """
 from __future__ import annotations
 
@@ -147,16 +148,12 @@ class RepeatedMeasuresData:
                 f"stacked design matrix has rank below its {X.shape[1]} columns"
             )
 
-    def _bounds(self) -> list[tuple[int, int]]:
-        """(start, stop) of each subject's rows, in subject order."""
-        return list(pairwise(self.offsets.tolist()))
-
     @cached_property
     def subjects(self) -> tuple[SubjectData, ...]:
         """One SubjectData per subject, views of the columns."""
         return tuple(
             SubjectData._view(self.times[a:b], self.y[a:b], self.X[a:b])
-            for a, b in self._bounds()
+            for a, b in pairwise(self.offsets.tolist())
         )
 
     @cached_property
@@ -165,14 +162,21 @@ class RepeatedMeasuresData:
         return _Patterns(self.times, self.offsets)
 
     @cached_property
+    def _prepared(self):
+        """The estimation workspace, shared by every fit of the dataset."""
+        from .estimation import _Prepared
+
+        return _Prepared(self)
+
+    @cached_property
     def grid(self) -> MeasurementGrid:
         """The measurement grid, built on first access.
 
         Its times are views of the frozen flat times, so it copies nothing.
         """
         self._patterns.defined_extremes()  # no distances, no grid
-        return _pooled_grid([self.times[a:b] for a, b in self._bounds()],
-                            patterns=self._patterns)
+        times = [self.times[a:b] for a, b in pairwise(self.offsets.tolist())]
+        return _pooled_grid(times, patterns=self._patterns)
 
     @property
     def n_subjects(self) -> int:
@@ -185,28 +189,6 @@ class RepeatedMeasuresData:
     @property
     def q(self) -> int:
         return self.X.shape[1]
-
-    def with_subject_times(self, new_times) -> "RepeatedMeasuresData":
-        """Copy of the data with replaced measurement times, y and X intact.
-
-        Each distinct vector object is validated once, however many
-        subjects share it.
-        """
-        new_times = tuple(new_times)
-        if len(new_times) != self.n_subjects:
-            raise InvalidSize("need one time vector per subject")
-        checked: dict[int, np.ndarray] = {}
-        columns = []
-        for (a, b), t in zip(self._bounds(), new_times):
-            if id(t) not in checked:
-                checked[id(t)] = validated_times(t)
-            t = checked[id(t)]
-            if t.size != b - a:
-                raise InvalidSize(f"y has shape {(b - a,)}, expected {t.shape}")
-            columns.append(t)
-        return RepeatedMeasuresData._from_columns(
-            np.concatenate(columns), self.y, self.X, self.offsets
-        )
 
 
 # The values a FitOptions field of each type accepts, and their name.

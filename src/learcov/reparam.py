@@ -151,15 +151,23 @@ def normalize_grid(
         raise NotSpecialCase("consecutive gaps differ; no common spacing exists")
     h = report.spacing
     patterns = grid._patterns
-    # Validated as build_grid would: a huge anchor can swallow the unit
-    # steps. Patterns go in order of first appearance, so the first subject
-    # that fails is named.
-    unit = [
-        validated_times(float(np.round(t[0] / h)) + np.arange(t.size, dtype=float),
-                        f"subject {i}: times")
-        for i, t in zip(patterns.first.tolist(), patterns.times)
-    ]
+    unit = _unit_times(patterns, h)
     return replace(_pooled_grid([unit[n] for n in patterns.ids.tolist()]), spacing=h)
+
+
+def _unit_times(patterns: _Patterns, h: float) -> list[np.ndarray]:
+    """Each pattern's times on the unit grid of normalize_grid, read-only.
+
+    Validated as build_grid would: a huge anchor can swallow the unit steps
+    or overflow. Patterns go in order of first appearance, so the first
+    subject that fails is named.
+    """
+    with np.errstate(over="ignore"):
+        return [
+            validated_times(float(np.round(t[0] / h)) + np.arange(t.size, dtype=float),
+                            f"subject {i}: times")
+            for i, t in zip(patterns.first.tolist(), patterns.times)
+        ]
 
 
 def _canonical_range(grid: MeasurementGrid) -> float:
@@ -172,8 +180,8 @@ def _canonical_range(grid: MeasurementGrid) -> float:
             f"integer_distances={report.integer_distances}, "
             f"dmin_is_one={report.dmin_is_one}"
         )
-    normalized = normalize_grid(grid)
-    return normalized.d_max - normalized.d_min
+    d_min, d_max = _Patterns.of(_unit_times(grid._patterns, report.spacing)).extremes
+    return d_max - d_min
 
 
 def map_lear_to_arma11(rho_l: float, delta: float, d_range: float) -> tuple[float, float]:

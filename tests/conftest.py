@@ -229,10 +229,12 @@ def per_subject_normalize_grid(grid, rel_tol=1e-9) -> lc.MeasurementGrid:
     if not report.equally_spaced:
         raise lc.NotSpecialCase("consecutive gaps differ; no common spacing exists")
     h = report.spacing
-    new_times = [
-        float(np.round(t[0] / h)) + np.arange(t.size, dtype=float)
-        for t in grid.subject_times
-    ]
+    # An anchor beyond the float range fails build_grid's finite check.
+    with np.errstate(over="ignore"):
+        new_times = [
+            float(np.round(t[0] / h)) + np.arange(t.size, dtype=float)
+            for t in grid.subject_times
+        ]
     return dataclasses.replace(lc.build_grid(new_times), spacing=h)
 
 
@@ -375,13 +377,55 @@ def per_row_read_long_csv(
 
 
 def per_subject_with_subject_times(data, new_times) -> lc.RepeatedMeasuresData:
-    """``with_subject_times`` with one validated SubjectData per subject."""
+    """``data`` with each subject's times replaced, y and X kept, built from
+    one validated SubjectData per subject."""
     new_times = tuple(new_times)
     if len(new_times) != data.n_subjects:
         raise lc.InvalidSize("need one time vector per subject")
     return lc.RepeatedMeasuresData(tuple(
         lc.SubjectData(t, s.y, s.X) for s, t in zip(data.subjects, new_times)
     ))
+
+
+def per_subject_compare(data, criterion="ml", options=None) -> lc.ComparisonReport:
+    """``compare_parameterizations`` through the per-subject grid.
+
+    The direct form that the pattern-table flow replaces: the dataset's
+    grid is checked, normalized subject by subject and moved into a dataset
+    of one SubjectData per subject, which both fits read; the reference
+    covariance and the mapping read the normalized grid.
+    """
+    grid = data.grid
+    if not lc.check_special_case(grid).eligible:
+        raise lc.NotSpecialCase(
+            "comparison needs a grid reducible to unit-spaced integer distances"
+        )
+    normalized = per_subject_normalize_grid(grid)
+    data_n = per_subject_with_subject_times(data, normalized.subject_times)
+    lear_fit = lc.fit(data_n, "lear", criterion, options)
+    arma_fit = lc.fit(data_n, "arma11", criterion, options)
+    sizes = np.diff(data_n.offsets)
+    reference = int(np.argmax(sizes))
+    cov_lear = lc.lear_covariance(lear_fit.estimates, data_n.grid, reference)
+    cov_arma = lc.arma11_covariance(arma_fit.estimates, int(sizes[reference]))
+    mapped = note = None
+    try:
+        mapped = lc.arma_to_lear(arma_fit.estimates, data_n.grid)
+    except (lc.OutsideLearImage, lc.Unidentifiable, lc.DegenerateRange) as exc:
+        note = f"{type(exc).token}: {exc}"
+    return lc.ComparisonReport(
+        criterion=criterion,
+        spacing=float(normalized.spacing),
+        lear=lear_fit,
+        arma11=arma_fit,
+        loglik_difference=abs(lear_fit.max_loglik - arma_fit.max_loglik),
+        reference_subject=reference,
+        lear_covariance=cov_lear,
+        arma11_covariance=cov_arma,
+        max_covariance_difference=float(np.max(np.abs(cov_lear - cov_arma))),
+        arma_mapped_to_lear=mapped,
+        mapping_note=note,
+    )
 
 
 def fsum_gram(A, B=None) -> np.ndarray:

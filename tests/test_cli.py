@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import learcov as lc
-from learcov import cli
+from learcov import cli, estimation
 from conftest import run_cli, simulated_dataset
 
 
@@ -378,15 +378,22 @@ def test_commands_build_no_per_subject_objects(tmp_path, monkeypatch):
 
 def test_check_and_fit_build_no_per_subject_grid(tmp_path, monkeypatch):
     # Grids by their number of subjects, counted as MeasurementGrid's
-    # __post_init__ runs.
+    # __post_init__ runs, and workspaces as _Prepared's __init__ runs.
     grids = []
+    workspaces = []
     post_init = lc.MeasurementGrid.__post_init__
+    prepare = estimation._Prepared.__init__
 
     def counting_post_init(self):
         grids.append(len(self.subject_times))
         post_init(self)
 
+    def counting_prepare(self, data):
+        workspaces.append(data)
+        prepare(self, data)
+
     monkeypatch.setattr(lc.MeasurementGrid, "__post_init__", counting_post_init)
+    monkeypatch.setattr(estimation._Prepared, "__init__", counting_prepare)
     data = lc.simulate(lc.SimSpec(
         n_subjects=30, times=(np.arange(1.0, 5.0), np.arange(2.0, 4.0)),
         beta=np.array([1.0]), covariance=lc.Arma11Params(1.0, 0.5, 0.5), seed=3,
@@ -399,10 +406,19 @@ def test_check_and_fit_build_no_per_subject_grid(tmp_path, monkeypatch):
     payload_of(invoke("simulate", "--spec", spec, "--out", csv_path))
     assert grids == [2]
     grids.clear()
-    for args in (["check-special-case"], ["fit"], ["fit", "--param", "arma11"],
-                 ["fit", "--criterion", "reml"]):
+    payload_of(invoke("check-special-case", "--input", csv_path))
+    assert (grids, workspaces) == ([], [])
+    for args in (["fit"], ["fit", "--param", "arma11"], ["fit", "--criterion", "reml"]):
         payload_of(invoke(*args, "--input", csv_path))
-    assert grids == []
+        assert (grids, len(workspaces)) == ([], 1)
+        workspaces.clear()
+    # compare's two fits share one workspace; its one grid holds the
+    # reference subject alone.
+    for criterion in ("ml", "reml"):
+        payload_of(invoke("compare", "--criterion", criterion, "--input", csv_path))
+        assert (grids, len(workspaces)) == ([1], 1)
+        grids.clear()
+        workspaces.clear()
     # The counter sees the grid a caller asks for.
     lc.read_long_csv(csv_path).grid
     assert grids == [50]

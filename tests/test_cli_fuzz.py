@@ -6,9 +6,11 @@ and never ends in a traceback. All six subcommands run in this process
 through ``cli.main``. Flag values come from an edge vocabulary: zeros of
 both signs, NaN, infinities, 1e308, 2**63, huge and negative integers,
 non-numeric strings, and empty or malformed files, one of them with a field
-over csv's field size limit. Malformed options of the program itself may
-come before the subcommand. Sizes stay small: no drawn value asks for more
-than a few MB.
+over csv's field size limit. Malformed options of the program itself
+come before the subcommand in about one run in ten. A command that reads
+data always gets an input file, a usual one unless ``--input`` is drawn an
+edge value, so most runs reach the command's own work. Sizes stay small:
+no drawn value asks for more than a few MB.
 
 Tier-1 draws the same 1000 argument lists on every run (``derandomize``),
 so a fault fails the change that brings it. New draws come from the
@@ -51,14 +53,17 @@ TOKENS = {
 
 
 @st.composite
-def invocation(draw, name, flags, switches=()):
+def invocation(draw, name, flags, switches=(), required=()):
     """``name`` with a usual value, or none, for each flag, except that up
     to two flags take an edge value. ``flags`` maps a flag to its strategies
-    of usual and of edge values."""
+    of usual and of edge values; a ``required`` flag always takes one."""
     edgy = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
     args = [name]
     for flag, (usual, edge) in flags.items():
-        value = draw(edge if flag in edgy else st.one_of(st.none(), usual))
+        if flag in edgy:
+            value = draw(edge)
+        else:
+            value = draw(usual if flag in required else st.one_of(st.none(), usual))
         if value is not None:
             args += [flag, value]
     return args + [flag for flag in switches if draw(st.booleans())]
@@ -171,19 +176,22 @@ def commands(files, tmp):
             "--times": times,
         }, switches=["--verify"]),
         invocation("check-special-case",
-                   {flag: data[flag] for flag in ("--input", "--config")}),
+                   {flag: data[flag] for flag in ("--input", "--config")},
+                   required=["--input"]),
         invocation("simulate", {
             "--spec": spec_files(files, tmp),
             "--out": (st.just(files["out"]), st.sampled_from([files["directory"], ""])),
         }),
         invocation("fit", {
             **fitting, "--param": words(["lear", "arma11"], ["abc"]),
-        }, switches=["--allow-negative"]),
-        invocation("compare", fitting, switches=["--allow-negative"]),
+        }, switches=["--allow-negative"], required=["--input"]),
+        invocation("compare", fitting, switches=["--allow-negative"],
+                   required=["--input"]),
     )
-    # Half the runs put group options first.
-    group_flags = st.one_of(
-        st.just([]), st.lists(st.sampled_from(GROUP_FLAGS), min_size=1, max_size=2)
+    # About one run in ten puts group options first.
+    group_flags = st.integers(0, 9).flatmap(
+        lambda k: st.lists(st.sampled_from(GROUP_FLAGS), min_size=1, max_size=2)
+        if k == 0 else st.just([])
     )
     return st.tuples(group_flags, subcommand).map(lambda parts: parts[0] + parts[1])
 
@@ -223,9 +231,18 @@ def test_every_run_ends_in_json_or_a_token(files, spec_dir):
     @example(["--bogus", "fit", "--input", files["unit"]])
     @example(["build-matrix", "--rho-l", "0", "--delta", "1e308", "--times", "2,4,6,8"])
     def run(args):
-        check_contract(args)
+        # A run that succeeds has no program options: args[0] is its command.
+        if check_contract(args).exit_code == 0:
+            successes.append(args[0])
 
+    successes = []
     run()
+    if not exploring:
+        # The fixed draws reach the commands' own work: 331 of them succeed,
+        # 129 of these in compare. The floors leave room for a change of
+        # strategy, not for a gate that stops at the usage errors.
+        assert len(successes) >= 250
+        assert successes.count("compare") >= 100
 
 
 @pytest.mark.parametrize("args", [

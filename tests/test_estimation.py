@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import astuple, fields
@@ -9,15 +10,16 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 import learcov as lc
-from learcov import estimation
+from learcov import _jsonio, estimation
 from learcov.estimation import _Prepared
 from conftest import (
     fsum_gram,
     per_point_profile,
     per_point_scan,
     per_row_forward_solve,
+    per_subject_compare,
+    per_subject_normalize_grid,
     per_subject_prepared_groups,
-    per_subject_with_subject_times,
     simulated_dataset,
     whitened_profile_parts,
 )
@@ -129,63 +131,6 @@ def test_all_singleton_dataset_has_no_grid():
     data = singleton_dataset([1.0, 2.0, 3.0])
     with pytest.raises(lc.DegenerateGrid):
         data.grid
-
-
-def test_with_subject_times_keeps_responses():
-    data = lc.RepeatedMeasuresData((subject([2, 4], [0.5, 0.7]),))
-    moved = data.with_subject_times([np.array([1.0, 2.0])])
-    np.testing.assert_array_equal(moved.subjects[0].y, [0.5, 0.7])
-    np.testing.assert_array_equal(moved.subjects[0].times, [1.0, 2.0])
-
-
-def column_bytes(data):
-    return [(name, getattr(data, name).shape, getattr(data, name).tobytes())
-            for name in ("times", "y", "X", "offsets")]
-
-
-def moved_times_cases(data):
-    normalized = lc.normalize_grid(data.grid).subject_times
-    yield normalized
-    yield [t.tolist() for t in normalized]
-    yield [np.array(t) + 0.25 for t in data.grid.subject_times]
-
-
-def test_with_subject_times_matches_the_per_subject_build():
-    spec = lc.SimSpec(
-        n_subjects=23,
-        times=(np.array([2.0, 4.0, 6.0]), np.array([4.0]), np.array([0.0, 2.0])),
-        beta=np.array([1.0, -0.5]),
-        covariance=lc.LearParams(1.0, 0.5, 2.0),
-        seed=3,
-        design="intercept-time",
-    )
-    data = lc.simulate(spec)
-    for new_times in moved_times_cases(data):
-        got = data.with_subject_times(new_times)
-        want = per_subject_with_subject_times(data, new_times)
-        assert column_bytes(got) == column_bytes(want)
-        assert (got.grid.d_min, got.grid.d_max) == (want.grid.d_min, want.grid.d_max)
-
-
-def test_with_subject_times_names_what_is_wrong():
-    data = lc.RepeatedMeasuresData((
-        subject([1, 2], [0.1, 0.2]), subject([1, 2, 3], [0.3, 0.4, 0.5]),
-        subject([5, 6], [0.6, 0.7]),
-    ))
-    shared = np.array([2.0, 1.0])
-    cases = [
-        [[1.0, 2.0], [1.0, 2.0, 3.0]],
-        [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
-        [shared, [1.0, 2.0, 3.0], shared],
-        [[1.0, 2.0], "abc", [1.0, 2.0]],
-        [[1.0, 2.0], [1.0, 2.0, np.inf], [1.0, 2.0]],
-    ]
-    for new_times in cases:
-        with pytest.raises(lc.LearcovError) as got:
-            data.with_subject_times(new_times)
-        with pytest.raises(lc.LearcovError) as want:
-            per_subject_with_subject_times(data, new_times)
-        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 # --------------------------------------------------------------------------
@@ -1376,3 +1321,81 @@ def test_compare_report_to_dict_round_trips_fields():
         "reference_subject", "max_covariance_difference",
     }
     assert isinstance(d["lear_covariance"], list)
+
+
+def scaled_y(data, factor):
+    return lc.RepeatedMeasuresData(
+        lc.SubjectData(s.times, factor * s.y, s.X) for s in data.subjects)
+
+
+COMPARE_CASES = {
+    "unit": pattern_dataset(UNIT_PATTERNS, 2),
+    # Offsets below the gap merge patterns once the times are normalized.
+    "gap 2 with sub-gap offsets": pattern_dataset((
+        ((2.3, 4.3, 6.3, 8.3), 20), ((2.0, 4.0, 6.0, 8.0), 12),
+        ((10.9, 12.9, 14.9), 10), ((-3.0, -1.0, 1.0), 10), ((7.1,), 3),
+    ), 1, seed=1),
+    "mixed lengths": pattern_dataset((
+        ((1, 2, 3, 4, 5, 6), 30), ((2, 3, 4, 5), 10), ((2, 3), 5), ((3,), 4),
+    ), 2, seed=2),
+    "signed zeros": pattern_dataset((
+        ((-0.0, 1.0, 2.0), 10), ((0.0, 1.0, 2.0), 10), ((-1.0, 0.0), 5),
+        ((-1.0, -0.0), 5), ((-0.0,), 3), ((0.0,), 3),
+    ), 1, seed=3),
+    # Under allow_negative the ARMA(1,1) fit leaves the LEAR image.
+    "outside the LEAR image": arma11_dataset(100, [1, 2, 3, 4, 5], seed=3,
+                                             tau=-0.3, rho_a=0.5),
+    "irregular": pattern_dataset(IRREGULAR_PATTERNS, 1),
+    "singletons": singleton_dataset([1.0, 2.0, 3.0]),
+    "equal distances": pattern_dataset((((1, 2), 5), ((4, 5), 5)), 1),
+    "overflowing y": scaled_y(pattern_dataset(UNIT_PATTERNS, 1), 1e300),
+    # A gap 5e-10 short of 1 sets h; the later anchor, above 2**53,
+    # swallows its unit step.
+    "huge anchor": pattern_dataset(
+        (((0.0, 1 - 5e-10), 2), ((2.0 ** 53 - 4, 2.0 ** 53 - 3), 3)), 1),
+    # round(1e10 / 1e-300) is infinite.
+    "anchor beyond the float range": lc.RepeatedMeasuresData(
+        subject(t, np.sin(np.arange(len(t)) + i)) for i, t in
+        enumerate([(0.0, 1e-300, 2e-300)] * 4 + [(1e10,)] * 2)),
+}
+
+
+def compare_outcome(compare, data, criterion, options):
+    """compare's JSON document, or the error it raises."""
+    try:
+        return _jsonio.dumps(compare(data, criterion, options).to_dict())
+    except lc.LearcovError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("allow_negative", [False, True])
+@pytest.mark.parametrize("criterion", ["ml", "reml"])
+@pytest.mark.parametrize("name", list(COMPARE_CASES))
+def test_compare_matches_the_per_subject_flow(monkeypatch, name, criterion,
+                                              allow_negative):
+    data = COMPARE_CASES[name]
+    options = lc.FitOptions(allow_negative=allow_negative)
+    fitted = []
+    fit = estimation.fit
+
+    def recording_fit(data_n, *args):
+        fitted.append(data_n)
+        return fit(data_n, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimation, "fit", recording_fit)
+        got = compare_outcome(lc.compare_parameterizations, data, criterion, options)
+    assert got == compare_outcome(per_subject_compare, data, criterion, options)
+    if isinstance(got, str):
+        assert len(fitted) == 2
+    if name == "outside the LEAR image" and allow_negative:
+        assert json.loads(got)["mapping_note"].startswith("E_OUTSIDE_LEAR_IMAGE: ")
+    # The fits share one dataset: the normalized times, and the responses,
+    # design and offsets as they were.
+    if fitted:
+        data_n = fitted[0]
+        assert all(d is data_n for d in fitted)
+        normalized = per_subject_normalize_grid(data.grid).subject_times
+        assert data_n.times.tobytes() == np.concatenate(normalized).tobytes()
+        for column in ("y", "X", "offsets"):
+            assert getattr(data_n, column).tobytes() == getattr(data, column).tobytes()
