@@ -5,14 +5,13 @@ shortest round-tripping form. Reports here promise a fixed 17-significant-
 digit rendering so emitted bytes are identical across runs and platforms,
 hence this small emitter. Non-finite floats have no JSON representation and
 are serialized as null. Object keys keep insertion order; numpy scalars and
-arrays are converted to their Python equivalents.
+arrays are converted to their Python equivalents by their ``tolist()``, so
+this module imports no numpy.
 """
 from __future__ import annotations
 
 import json
 import math
-
-import numpy as np
 
 __all__ = ["dumps"]
 
@@ -28,16 +27,14 @@ def _emit(obj, lines: list, indent: int | None, level: int) -> None:
     end_pad = "" if indent is None else "\n" + " " * (indent * level)
     if obj is None:
         lines.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
+    elif isinstance(obj, bool):
         lines.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         lines.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         lines.append(_format_float(float(obj)))
     elif isinstance(obj, str):
         lines.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), lines, indent, level)
     elif isinstance(obj, dict):
         if not obj:
             lines.append("{}")
@@ -62,6 +59,14 @@ def _emit(obj, lines: list, indent: int | None, level: int) -> None:
             lines.append(pad)
             _emit(value, lines, indent, level + 1)
         lines.append(end_pad + "]")
+    elif hasattr(obj, "tolist"):
+        # A numpy scalar or array. tolist() gives Python bools, ints, floats
+        # and lists of them, except that a long double stays one: it is
+        # written as float() rounds it.
+        value = obj.tolist()
+        if type(value) is type(obj):
+            value = float(value)
+        _emit(value, lines, indent, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 

@@ -13,7 +13,11 @@ csv.reader does and parses numbers as float() does, and it refuses the
 files where it could differ. A file it refuses is walked again from its
 first data row by csv.reader, one row at a time, which reads it or raises
 the error of its first bad row. A stream that cannot seek, such as a
-pipe, is read into memory first, so it takes the same two paths.
+pipe, is read into memory first, so it takes the same two paths. The
+opening, the header read and the row walk are learcov.plain's, which
+imports no numpy, and which the reads import when they run:
+check-special-case reads a small file with them alone, and this module,
+which imports numpy, only for a larger one.
 
 A file is written a block of rows (_WRITE_BLOCK) at a time, each block
 formatted by one % call. Each distinct time is formatted once and each
@@ -22,7 +26,8 @@ subject id quoted once; only y is formatted per row.
 The dataset type and the design rules come from learcov.model, which
 read_long_csv imports when it is called, as load_sim_spec imports sim for
 SimSpec: reading and writing CSV loads neither the estimation nor the
-simulation module, and reading only columns (_read_sorted) not the model.
+simulation module, reading only columns (_read_sorted) not the model, and
+writing neither the model nor learcov.plain.
 """
 from __future__ import annotations
 
@@ -30,7 +35,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import re
 import warnings
 from collections import Counter
@@ -40,12 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import Arma11Params, LearParams
-from .errors import (
-    DegenerateGrid,
-    DuplicateMeasurement,
-    InvalidParams,
-    ParseError,
-)
+from .errors import InvalidParams, ParseError
 
 if TYPE_CHECKING:
     from .model import RepeatedMeasuresData
@@ -68,18 +67,6 @@ _NEEDS_WRITER = re.compile('[,"\r\n]')
 _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 # Characters of lines handed to numpy's reader at a time.
 _READ_BLOCK = 1 << 16
-
-
-def _parse_number(text: str, row: int, column: str) -> float:
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        raise ParseError(
-            f"row {row}: cannot parse {column}={text!r} as a number"
-        ) from None
-    if not math.isfinite(value):
-        raise ParseError(f"row {row}: {column}={text!r} is not finite")
-    return value
 
 
 def _design_columns(design) -> tuple[str | None, list[str]]:
@@ -147,33 +134,34 @@ def _read_sorted(path, names):
     Raises what read_long_csv raises for these columns: columns the file
     has but ``names`` leaves out are not parsed.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        if not fh.seekable():
-            # Kept whole so that a file numpy's reader refuses can be walked
-            # again; newline="" keeps line ends as the file has them.
-            fh = io.StringIO(fh.read(), newline="")
-        reader = csv.reader(fh)
+    from .plain import _open_csv
+
+    with _open_csv(path) as (fh, _):
+        return _sorted_columns(fh, names)
+
+
+def _sorted_columns(fh, names):
+    """_read_sorted of the CSV open as ``fh``, a text stream at its start
+    that can seek (see plain._open_csv).
+
+    A file numpy's reader refuses is walked from its first data row, which
+    raises the error of the first bad row in file order (see
+    plain._walk_rows); a row the csv module cannot read is ParseError.
+    """
+    from .plain import _read_header, _two_or_more, _walk_rows
+
+    _, positions = _read_header(fh, names)
+    parsed = _load_columns(fh, positions)
+    if parsed is None:
+        fh.seek(0)
+        reader, _ = _read_header(fh, names)
         try:
-            header = next(reader, None)
+            sids, values = _walk_rows(reader, names, positions)
         except csv.Error as exc:
-            raise ParseError(f"row 1: {exc}") from None
-        if header is None:
-            raise ParseError("empty file: a header row is required")
-        for name in names:
-            if name not in header:
-                raise ParseError(f"missing required column {name!r} in header")
-        positions = [header.index(name) for name in names]
-        parsed = _load_columns(fh, positions)
-        if parsed is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            parsed = _read_rows(reader, names, positions)
+            raise ParseError(f"row {exc.row}: {exc}") from None
+        parsed = _sort_columns(sids, np.array(values))
     values, rank = parsed
-    if len(rank) == 1:
-        raise DegenerateGrid(
-            "a single measurement defines no distances; need at least two rows"
-        )
+    _two_or_more(len(rank))
     return values, np.concatenate(([0], np.cumsum(np.bincount(rank))))
 
 
@@ -213,45 +201,6 @@ def _load_columns(fh, positions):
         return None
     values = np.array([table[name] for name in dtype.names[1:]])
     return _sort_columns(table["f0"].tolist(), values)
-
-
-def _read_rows(reader, names, positions):
-    """The rows left in csv ``reader``, parsed: what _sort_columns returns.
-
-    Raises the error of the first bad row in file order. Within a row: a
-    short row, then each named column in ``names`` order, then a repeated
-    (subject, time) pair. A row the csv module cannot read is numbered by
-    the rows read before it; the header is row 1.
-    """
-    needed = max(positions) + 1
-    columns = list(zip(names[1:], positions[1:]))
-    sids: list[str] = []
-    rows: list[list[float]] = []
-    seen: set[tuple[str, float]] = set()
-    row_num = 1
-    try:
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < needed:
-                raise ParseError(
-                    f"row {row_num}: expected at least {needed} fields, got {len(row)}"
-                )
-            sid = row[positions[0]]
-            numbers = [_parse_number(row[pos], row_num, name) for name, pos in columns]
-            if (sid, numbers[0]) in seen:
-                raise DuplicateMeasurement(
-                    f"row {row_num}: duplicate measurement for subject "
-                    f"{sid!r} at time {numbers[0]!r}"
-                )
-            seen.add((sid, numbers[0]))
-            sids.append(sid)
-            rows.append(numbers)
-    except csv.Error as exc:
-        raise ParseError(f"row {row_num + 1}: {exc}") from None
-    if not rows:
-        raise ParseError("no data rows after the header")
-    return _sort_columns(sids, np.ascontiguousarray(np.array(rows).T))
 
 
 def _sort_columns(sids, values):

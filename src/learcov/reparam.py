@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .errors import (
     Unidentifiable,
     UnidentifiableWarning,
 )
+from .plain import DEFAULT_REL_TOL, SpecialCaseReport
 
 __all__ = [
     "SpecialCaseReport",
@@ -55,26 +56,6 @@ __all__ = [
     "arma_to_lear",
     "correlation_at_distance",
 ]
-
-#: Relative tolerance for judging equal spacing and integer distances.
-DEFAULT_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SpecialCaseReport:
-    """Eligibility flags for the ARMA(1,1) reparameterization.
-
-    ``spacing`` is the common consecutive gap h when one exists, else None.
-    ``integer_distances`` and ``dmin_is_one`` are judged after dividing by h
-    when spacing exists, otherwise on the raw distances. ``eligible`` is the
-    conjunction of the three flags.
-    """
-
-    equally_spaced: bool
-    integer_distances: bool
-    dmin_is_one: bool
-    spacing: float | None
-    eligible: bool
 
 
 def check_special_case(
@@ -97,7 +78,10 @@ _CHECK_CHUNK = 1 << 12
 def _special_case(
     patterns: _Patterns, d_min: float, rel_tol: float = DEFAULT_REL_TOL
 ) -> SpecialCaseReport:
-    """check_special_case of a grid with pattern table ``patterns``."""
+    """check_special_case of a grid with pattern table ``patterns``.
+
+    plain._special_case is its port to Python floats.
+    """
     stacks = [stack for p, stack in patterns.stacks.items() if p > 1]
     # The first subject with two times has the lowest-numbered such pattern.
     numbers, stack = min(stacks, key=lambda s: s[0].min())

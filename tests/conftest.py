@@ -19,7 +19,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 import learcov as lc
-from learcov import cli, dataio, estimation
+from learcov import cli, dataio, estimation, plain
 from learcov.sim import rule_design
 
 ACCEPTANCE_LINES: list[str] = []
@@ -338,10 +338,10 @@ def per_row_read_long_csv(
                     f"got {len(row)}"
                 )
             sid = row[positions[subject_col]]
-            t = dataio._parse_number(row[positions[time_col]], row_num, time_col)
-            yv = dataio._parse_number(row[positions[y_col]], row_num, y_col)
+            t = plain._parse_number(row[positions[time_col]], row_num, time_col)
+            yv = plain._parse_number(row[positions[y_col]], row_num, y_col)
             covs = tuple(
-                dataio._parse_number(row[positions[c]], row_num, c)
+                plain._parse_number(row[positions[c]], row_num, c)
                 for c in covariate_cols
             )
             if (sid, t) in seen:

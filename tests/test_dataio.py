@@ -1,8 +1,11 @@
 import csv
+import dataclasses
 import json
+import math
 import os
 import re
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
-from learcov import dataio
+from learcov import _jsonio, dataio, plain
 from conftest import (
     csv_writer_write_long_csv,
     per_row_read_long_csv,
@@ -402,6 +405,89 @@ def test_the_times_read_alone_as_in_the_full_read(tmp_path_factory, text):
 
 
 ROWS = "a,1,0.5\na,2,0.7\nb,1,1.5\nb,3,0.1\n"
+
+
+def check_outcome(path, small):
+    """check-special-case's verdict on ``path``, read by the row walk when
+    ``small`` and by numpy's reader otherwise: the verdict's JSON bytes, or
+    the error's token and message."""
+    with mock.patch.object(plain, "_SMALL_FILE", math.inf if small else 0):
+        try:
+            report = plain._check_csv(path, ["subject", "time"])
+        except lc.LearcovError as exc:
+            return exc.token, str(exc)
+    return _jsonio.dumps(dataclasses.asdict(report))
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_csv_text())
+def test_both_reads_of_the_check_agree_on_odd_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert check_outcome(path, small=True) == check_outcome(path, small=False)
+
+
+CHECK_TEXTS = {
+    "long time": f"subject,time,y\na,1,0.5\na,{LONG_FIELD},0.7\nb,1,1\n",
+    "long y": f"subject,time,y\na,1,0.5\na,2,{LONG_FIELD}\nb,1,1\nb,2,1\n",
+    "long spare field": f"subject,time,y,junk\na,1,0.5,j\na,2,0.7,{LONG_FIELD}\n",
+    "bad time before a long field":
+        f"subject,time,y\na,1,0.5\na,x,0.7\nb,1,{LONG_FIELD}\n",
+    "long field before a bad time":
+        f"subject,time,y\na,1,0.5\na,2,{LONG_FIELD}\nb,x,1\n",
+    "long header": f"subject,time,{LONG_FIELD}\na,1,0.5\na,2,0.7\n",
+    **{f"separator {ord(c):#x} in a time": ROWS.replace("a,2", f"a,{c}2")
+       for c in "\x1c\x1d\x1e\x1f"},
+    **{f"separator {ord(c):#x} in an id and a spare field":
+       f"a{c},1,0.5{c}\na{c},2,0.7\nb,1,1\nb,3,{c}\n" for c in "\x1c\x1f"},
+    "1_0": ROWS.replace("b,3", "b,1_0"),
+    "byte-order mark": "\ufeffsubject,time,y\n" + ROWS,
+    "CR": ("subject,time,y\n" + ROWS).replace("\n", "\r"),
+    "CRLF": ("subject,time,y\n" + ROWS).replace("\n", "\r\n"),
+    "quoted line ends": CR_TEXT,
+    "single visits": "subject,time,y\na,1,0.5\nb,2,0.7\nc,2.5,1\n",
+    "one row": "subject,time,y\na,1,0.5\n",
+    "no rows": "subject,time,y\n\n",
+    "repeated time": "subject,time,y\na,1,0.5\nb,1,1\na,1.0,0.7\nb,x,1\n",
+    "-0.0 and 0.0": "subject,time,y\na,-0.0,1\nb,0.0,1\na,1,1\nb,1,1\na,0,1\n",
+    "signed zeros apart": "subject,time,y\na,-0.0,1\nb,0.0,1\na,1,1\nb,1,1\n",
+    "irregular": "subject,time,y\na,0,1\na,1,1\nb,0,1\nb,2.5,1\n",
+    "gap within tolerance": "subject,time\na,0\na,1.0000000004\nb,0\nb,1\nb,2\n",
+    "overflowing span": "subject,time\na,-1e308\na,1e308\nb,1\nb,2\n",
+}
+
+
+@pytest.mark.parametrize("name", list(CHECK_TEXTS))
+def test_both_reads_of_the_check_agree(tmp_path, name):
+    path = tmp_path / "data.csv"
+    path.write_bytes(CHECK_TEXTS[name].encode("utf-8"))
+    # numpy warns of a span beyond the float range; the walk's floats do not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert check_outcome(path, small=True) == check_outcome(path, small=False)
+
+
+@pytest.mark.parametrize("name", ["CRLF", "long y", "long time", "repeated time"])
+def test_both_reads_of_the_check_agree_on_a_pipe(tmp_path, name):
+    # Each read gets the text through a FIFO of its own, and a thread, so a
+    # read that blocks fails the test instead of hanging the suite.
+    text = CHECK_TEXTS[name].encode("utf-8")
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    for small in (True, False):
+        fifo = tmp_path / f"pipe-{small}.csv"
+        os.mkfifo(fifo)
+        outcome = []
+        writer = threading.Thread(target=fifo.write_bytes, args=(text,), daemon=True)
+        reader = threading.Thread(
+            target=lambda: outcome.append(check_outcome(fifo, small)), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=60)
+        writer.join(timeout=60)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert outcome == [check_outcome(path, small)]
+    assert check_outcome(path, True) == check_outcome(path, False)
+
 
 
 @pytest.mark.parametrize("text, fast", [

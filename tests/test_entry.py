@@ -259,30 +259,58 @@ def test_the_console_script_runs_what_python_m_learcov_runs():
     assert getattr(main_module, called) is script_entry is main_module.main
 
 
-# Registers an atexit handler that prints the collector's state, then runs
-# the program as the console script does.
+# Registers an atexit handler that prints the collector's state and the
+# numpy and learcov modules loaded, each with whether its namespace is on
+# the frozen heap (out of gc.get_objects), then runs the program as the
+# console script does.
 GC_CHILD = """
 import atexit, gc, json, sys
 from learcov.__main__ import main
 before = gc.get_freeze_count()
-atexit.register(lambda: print(json.dumps(
-    [before, gc.isenabled(), gc.get_freeze_count()])))
+
+def report():
+    tracked = {id(o) for o in gc.get_objects()}
+    modules = {name: id(vars(module)) not in tracked
+               for name, module in sys.modules.items()
+               if name.split(".")[0] in ("numpy", "learcov")}
+    print(json.dumps([before, gc.isenabled(), gc.get_freeze_count(), modules]))
+
+atexit.register(report)
 sys.argv = ["learcov", *json.loads(sys.argv[1])]
 main()
 """
 
 
-def test_the_program_runs_on_a_frozen_import_heap():
+@pytest.mark.parametrize("args, frozen_modules", [
+    (BUILD, {"learcov.cli", "learcov.core", "numpy", "numpy.linalg"}),
+    (["fit", "--input", "data.csv"],
+     {"learcov.cli", "learcov.core", "learcov.dataio", "learcov.estimation",
+      "learcov.model", "numpy", "numpy.linalg"}),
+    (["simulate", "--spec", "spec.json", "--out", "sim.csv"],
+     {"learcov.cli", "learcov.core", "learcov.dataio", "learcov.model",
+      "learcov.sim", "numpy", "numpy.linalg"}),
+    # A small file is checked without numpy.
+    (["check-special-case", "--input", "data.csv"], {"learcov.cli"}),
+], ids=["build-matrix", "fit", "simulate", "check-special-case"])
+def test_the_program_runs_on_a_frozen_import_heap(files, args, frozen_modules):
     status, stdout, stderr = outcome([sys.executable, "-c", GC_CHILD],
-                                     [json.dumps(BUILD)])
+                                     [json.dumps(args)], cwd=files)
     assert (status, stderr) == (0, "")
-    before, enabled, frozen = json.loads(stdout.splitlines()[-1])
+    before, enabled, frozen, modules = json.loads(stdout.splitlines()[-1])
     assert before == 0 and enabled and frozen > 0
+    # numpy and the command's learcov modules were imported before the
+    # freeze.
+    assert frozen_modules <= {name for name, on_heap in modules.items() if on_heap}
+    if args[0] == "check-special-case":
+        assert not any(name.split(".")[0] == "numpy" for name in modules)
 
 
-def test_main_in_process_leaves_the_collector_alone():
+@pytest.mark.parametrize("args", [
+    BUILD, ["fit", "--input", "data.csv"], ["check-special-case", "--input", "data.csv"],
+], ids=["build-matrix", "fit", "check-special-case"])
+def test_main_in_process_leaves_the_collector_alone(files, args):
     frozen = gc.get_freeze_count()
-    result = run_cli(BUILD)
+    result = run_cli([str(files / a) if a == "data.csv" else a for a in args])
     assert result.exit_code == 0
     assert gc.get_freeze_count() == frozen
     assert gc.isenabled()

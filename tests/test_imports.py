@@ -94,7 +94,10 @@ def files(tmp_path_factory):
         "covariance": {"parameterization": "arma11", "sigma2": 1.0,
                        "tau": 0.5, "rho_a": 0.5},
     }), encoding="utf-8")
-    return {"csv": str(csv_path), "spec": str(spec_path),
+    long_path = root / "long.csv"
+    long_path.write_text(csv_path.read_text(encoding="utf-8")
+                         + "s1,9,\"" + "1" * 200_000 + "\"\n", encoding="utf-8")
+    return {"csv": str(csv_path), "spec": str(spec_path), "long": str(long_path),
             "out": str(root / "sim.csv")}
 
 
@@ -186,29 +189,95 @@ def test_commands_run_without_scipy(files, args):
 
 
 # --------------------------------------------------------------------------
+# check-special-case of a small file, without numpy
+
+REFUSE_NUMPY = """
+import sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"{name} is blocked", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseNumpy())
+"""
+
+# Small files that reach each outcome of the check: verdicts and errors.
+SMALL_CHECKS = {
+    "irregular": "subject,time\na,1\na,2\na,4.5\nb,2,\nb,3\n",
+    "gap-two": "subject,time\r\na,0\r\na,4\r\nb,2\r\nb,6\r\n",
+    "bad-time": "subject,time,y\na,1,x\na,2,1\nb,t,1\nb,3,1\n",
+    "duplicate": "subject,time\na,1\nb,1\na,1.0\nb,x\n",
+    "single-visits": "\ufeffsubject,time\na,1\nb,2\nc,3\n",
+    "one-row": "subject,time\na,1\n",
+    "no-rows": "subject,time\n\n",
+    "no-time-column": "subject,y\na,1\n",
+}
+
+
+def test_check_special_case_of_a_small_file_loads_no_numpy(files):
+    assert loaded_by(["check-special-case", "--input", files["csv"]],
+                     "numpy") == (0, set())
+
+
+def test_the_finder_refuses_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_NUMPY + "import numpy"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert "ModuleNotFoundError: numpy is blocked" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["csv", *SMALL_CHECKS])
+def test_check_special_case_of_a_small_file_runs_without_numpy(files, tmp_path, name):
+    if name in SMALL_CHECKS:
+        path = tmp_path / f"{name}.csv"
+        path.write_text(SMALL_CHECKS[name], encoding="utf-8")
+    else:
+        path = files[name]
+    args = ["check-special-case", "--input", str(path)]
+    outcomes = [
+        subprocess.run([sys.executable, "-c", code + CLI_MAIN, *args],
+                       capture_output=True, env=child_env(), timeout=300)
+        for code in (REFUSE_NUMPY, "")
+    ]
+    blocked, present = ((p.returncode, p.stdout, p.stderr) for p in outcomes)
+    assert blocked == present
+
+
+# --------------------------------------------------------------------------
 # learcov's own modules
 
 # What every subcommand loads besides the package: the CLI and what the CLI
-# names before a command runs. A fit or compare also loads learcov.model to
-# build its flags from FitOptions.
-CLI_MODULES = {"cli", "_jsonio", "core", "errors"}
+# names before a command runs, none of which imports numpy. A fit or compare
+# also loads learcov.model to build its flags from FitOptions.
+CLI_MODULES = {"cli", "_jsonio", "errors"}
+# What reading a CSV loads: dataio, and plain for the header and row walk.
+READ = {"core", "dataio", "plain"}
 
 
 @pytest.mark.parametrize("args, runs", [
     (["build-matrix", "--times", "1,2,3", "--rho-l", "0.5", "--delta", "1"],
-     set()),
+     {"core"}),
     (["reparam", "--direction", "lear2arma", "--times", "1,2,3",
-      "--rho-l", "0.6", "--delta", "2"], {"reparam"}),
-    (["check-special-case", "--input", "{csv}"], {"dataio", "reparam"}),
+      "--rho-l", "0.6", "--delta", "2"], {"core", "plain", "reparam"}),
+    (["check-special-case", "--input", "{csv}"], {"plain"}),
+    # A row over the csv module's field limit sends the check to numpy's
+    # reader and reparam.
+    (["check-special-case", "--input", "{long}"], READ | {"reparam"}),
+    # Writing a CSV needs no learcov.plain.
     (["simulate", "--spec", "{spec}", "--out", "{out}"],
-     {"dataio", "model", "sim"}),
-    (["fit", "--input", "{csv}"], {"dataio", "estimation", "model"}),
+     {"core", "dataio", "model", "sim"}),
+    (["fit", "--input", "{csv}"], READ | {"estimation", "model"}),
     (["fit", "--input", "{csv}", "--param", "arma11"],
-     {"dataio", "estimation", "model", "reparam"}),
+     READ | {"estimation", "model", "reparam"}),
     (["compare", "--input", "{csv}"],
-     {"dataio", "estimation", "model", "reparam"}),
-], ids=["build-matrix", "reparam", "check-special-case", "simulate", "fit",
-        "fit-arma11", "compare"])
+     READ | {"estimation", "model", "reparam"}),
+], ids=["build-matrix", "reparam", "check-special-case",
+        "check-special-case-long-field", "simulate", "fit", "fit-arma11",
+        "compare"])
 def test_each_command_loads_only_the_modules_it_runs(files, args, runs):
     # So simulate loads neither estimation nor reparam, check-special-case
     # neither estimation, sim nor model, and fit no sim.

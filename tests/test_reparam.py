@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
+from learcov import plain
 from learcov.estimation import _Prepared
 from learcov.reparam import _special_case
 from conftest import (
@@ -120,6 +121,44 @@ def test_first_subject_with_two_times_fixes_the_spacing():
         grid_of(*PATTERN_CASES["non-integer distance only in a late repeated pattern"])
     )
     assert not flags.equally_spaced and not flags.integer_distances
+
+
+# Times that stress the arithmetic: signed zeros, subnormal and tiny gaps,
+# gaps within the tolerance of 1, and spans that overflow to infinity.
+EDGE_TIMES = st.lists(
+    st.sampled_from([-1e308, -2.5, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, _H1,
+                     2.0, 2 * _H1, 3.0, 6.5, 2.0 ** 53, 1e300, 1e308]),
+    min_size=1, max_size=5, unique=True,
+).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(EDGE_TIMES, min_size=1, max_size=8),
+       st.sampled_from([1e-9, 1e-12, 0.5]))
+def test_the_python_verdict_is_the_numpy_verdict(subjects, rel_tol):
+    # plain._special_case, which check-special-case runs on a small file
+    # without numpy, against reparam's on the pattern table: equal flags
+    # and the same bits of spacing, or the same error. numpy warns of the
+    # spans that overflow, which the Python floats pass over in silence.
+    if all(len(t) == 1 for t in subjects):
+        with pytest.raises(lc.DegenerateGrid):
+            plain._special_case(subjects, rel_tol)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = lc.check_special_case(grid_of(*subjects), rel_tol)
+    got = plain._special_case(subjects, rel_tol)
+    assert got == want
+    assert repr(got.spacing) == repr(want.spacing)
+
+
+@pytest.mark.parametrize("name", list(PATTERN_CASES))
+def test_the_python_verdict_of_the_pattern_cases(name):
+    subjects = [[float(v) for v in t] for t in PATTERN_CASES[name]]
+    grid = grid_of(*subjects)
+    for rel_tol in (1e-9, 1e-12):
+        got = plain._special_case(subjects, rel_tol)
+        assert got == lc.check_special_case(grid, rel_tol)
+        assert repr(got.spacing) == repr(lc.check_special_case(grid, rel_tol).spacing)
 
 
 def test_normalize_grid_rescales_to_unit_gaps():
