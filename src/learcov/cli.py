@@ -11,18 +11,17 @@ Values come from, in decreasing precedence: command-line flags, the
 ("grid-points" or "grid_points" both work); keys the invoked subcommand
 does not use are ignored so one file can serve several subcommands.
 
-One table, _COMMANDS, maps each subcommand to its options, its help summary,
-its body and the modules the body always imports. main builds the options
-of the invoked subcommand only, and each body imports the numerics it
-runs: this module imports neither numpy nor learcov.core, so simulate
-never loads the estimation code, check-special-case neither it, the
-simulator nor learcov.model, and check-special-case of a small file not
-numpy either (see learcov.plain). The grammar is the one learcov had on
-click, kept token for token: a value-taking flag takes the next token
-whatever it looks like (--times -1,0,1), flags are never abbreviated, and
-every usage error is E_INVALID_PARAMS with click's wording, raised in
-click's order. argparse, whose reading of tokens differs in each of these,
-only formats --help.
+One table, _COMMANDS, maps each subcommand to its options, its help summary
+and its body. main builds the options of the invoked subcommand only, and
+each body imports the numerics it runs: this module imports neither numpy
+nor learcov.core, so simulate never loads the estimation code,
+check-special-case neither it, the simulator nor learcov.model, and
+check-special-case of a small file not numpy either (see learcov.plain).
+The grammar is the one learcov had on click, kept token for token: a
+value-taking flag takes the next token whatever it looks like (--times
+-1,0,1), flags are never abbreviated, and every usage error is
+E_INVALID_PARAMS with click's wording, raised in click's order. argparse,
+whose reading of tokens differs in each of these, only formats --help.
 
 run, the entry point of the learcov program, ends the process as soon as
 the output is flushed; main returns the exit status.
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import atexit
 import errno
-import importlib
 import os
 import sys
 import warnings
@@ -179,39 +177,22 @@ class _Command(NamedTuple):
     # Options, and functions that return options when they are built.
     options: tuple
     body: Callable[[dict], dict | None]
-    # The learcov modules the body imports whatever its input.
-    imports: tuple[str, ...]
 
 
 _COMMANDS: dict[str, _Command] = {}
 
 
-def _command(name: str, *options, imports: tuple[str, ...] = ()):
+def _command(name: str, *options):
     """Register ``body`` as subcommand ``name`` with ``options`` and --config.
 
     ``body`` takes the merged parameters (flags over the config file over
     defaults) and returns the JSON payload, which is printed after the
     schema_version and command keys, or None when it printed its own output.
-    ``imports`` names the learcov modules it imports on every run.
     """
     def register(body):
-        _COMMANDS[name] = _Command(body.__doc__.partition("\n")[0], options, body,
-                                   imports)
+        _COMMANDS[name] = _Command(body.__doc__.partition("\n")[0], options, body)
         return body
     return register
-
-
-def import_command(args: list[str]) -> None:
-    """Import the modules of the command that ``args`` invokes, if any.
-
-    The command is taken to be the first argument that is no option.
-    ``learcov.__main__`` calls this with the collector paused, so that numpy
-    and the learcov modules a command runs are on the frozen import heap.
-    """
-    name = next((arg for arg in args if arg[:1] != "-"), None)
-    if name in _COMMANDS:
-        for module in _COMMANDS[name].imports:
-            importlib.import_module(f".{module}", __package__)
 
 
 def _options(name: str) -> list[_Option]:
@@ -564,7 +545,6 @@ def _load_data(params: dict):
     _flag("--delta", _float),
     _flag("--times", _text, help="Comma-separated measurement times."),
     _flag("--format", _choice("json", "text"), "json", dest="fmt"),
-    imports=("core",),
 )
 def build_matrix(p: dict) -> dict | None:
     """Print the covariance matrix for one subject's measurement times."""
@@ -625,7 +605,6 @@ def _max_lag_difference(lear: LearParams, arma: Arma11Params, rng: float) -> flo
           help="Also report the max elementwise difference between the two "
                "implied covariance matrices, lag by lag (range at most "
                f"{_VERIFY_MAX_RANGE})."),
-    imports=("reparam",),
 )
 def reparam_cmd(p: dict) -> dict:
     """Map parameters between the distance and position forms."""
@@ -683,7 +662,7 @@ def reparam_cmd(p: dict) -> dict:
     return payload
 
 
-@_command("check-special-case", *_TIME_OPTIONS, imports=("plain",))
+@_command("check-special-case", *_TIME_OPTIONS)
 def check_special_case_cmd(p: dict) -> dict:
     """Report whether a dataset's grid reduces to unit-spaced integers."""
     from .plain import _check_csv
@@ -701,7 +680,6 @@ def check_special_case_cmd(p: dict) -> dict:
     _flag("--spec", _path, help="JSON simulation spec (see load_sim_spec).",
           dest="spec_path"),
     _flag("--out", _path, help="Output CSV path.", dest="out_path"),
-    imports=("dataio", "sim"),
 )
 def simulate_cmd(p: dict) -> dict:
     """Draw a dataset from a JSON spec and write it as long-format CSV."""
@@ -719,8 +697,7 @@ def simulate_cmd(p: dict) -> dict:
     }
 
 
-@_command("fit", *_INPUT_OPTIONS, _param_flag, _fit_flags,
-          imports=("dataio", "estimation"))
+@_command("fit", *_INPUT_OPTIONS, _param_flag, _fit_flags)
 def fit_cmd(p: dict) -> dict:
     """Fit one covariance parameterization by profile ML or REML."""
     from .estimation import fit
@@ -733,8 +710,7 @@ def fit_cmd(p: dict) -> dict:
     ).to_dict()
 
 
-@_command("compare", *_INPUT_OPTIONS, _fit_flags,
-          imports=("dataio", "estimation", "reparam"))
+@_command("compare", *_INPUT_OPTIONS, _fit_flags)
 def compare_cmd(p: dict) -> dict:
     """Fit both parameterizations and report how well they agree."""
     from .estimation import compare_parameterizations

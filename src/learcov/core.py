@@ -211,6 +211,7 @@ class _Patterns:
         return tuple(out)
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # a span beyond floats is inf
     def extremes(self) -> tuple[float, float] | None:
         multi = [stack for p, (_, stack) in self.stacks.items() if p > 1]
         if not multi:

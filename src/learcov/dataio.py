@@ -305,16 +305,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _numeric(value) -> bool:
+    """Whether ``value`` is a number or a list of them, nested to any depth."""
+    return all(map(_numeric, value)) if isinstance(value, list) else _is_number(value)
+
+
 def _numeric_array(value, field: str) -> np.ndarray:
     """Float array of a JSON number or (nested) array of numbers.
 
     Shapes are left to SimSpec to judge; anything non-numeric, or nested
     unevenly, raises ParseError naming ``field``.
     """
-    def numeric(v) -> bool:
-        return all(map(numeric, v)) if isinstance(v, list) else _is_number(v)
-
-    if numeric(value):
+    if _numeric(value):
         try:
             return np.asarray(value, dtype=float)
         except (ValueError, OverflowError):

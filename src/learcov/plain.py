@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import gc
 import io
 import itertools
 import math
@@ -212,24 +211,13 @@ def _check_csv(path, names) -> SpecialCaseReport:
     size limit), is read by dataio's numpy reader and judged by
     reparam._special_case. Both give the verdict and the errors of
     ``reparam.check_special_case`` on the grid of ``read_long_csv``.
-
-    The collector is paused while a small file is read, and left as it was
-    found: csv.reader makes a list for each row, none of them in a cycle,
-    and collecting them as they come moves each block's rows to older
-    generations and runs full collections, a third of the time of a 5 MB
-    file.
     """
     with _open_csv(path) as (fh, size):
         if size < _SMALL_FILE:
-            enabled = gc.isenabled()
-            gc.disable()
             try:
                 return _check_small(fh, names)
             except csv.Error:
                 fh.seek(0)
-            finally:
-                if enabled:
-                    gc.enable()
         from .core import _Patterns
         from .dataio import _sorted_columns
         from .reparam import _special_case as judge

@@ -75,6 +75,7 @@ def check_special_case(
 _CHECK_CHUNK = 1 << 12
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a span beyond floats is inf
 def _special_case(
     patterns: _Patterns, d_min: float, rel_tol: float = DEFAULT_REL_TOL
 ) -> SpecialCaseReport:

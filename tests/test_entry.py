@@ -2,7 +2,7 @@
 
 ``learcov.cli.run`` ends the process with ``os._exit`` once the output is
 flushed, skipping the interpreter's teardown; ``learcov.__main__.main``
-imports the CLI with the collector paused and runs it. Each case here runs
+turns the garbage collector off and runs it. Each case here runs
 ``python -m learcov`` and, as the reference, ``sys.exit(cli.main())``: the
 same program left to the interpreter's exit. The two must give the same
 stdout bytes, the same stderr once each traceback's frames are set aside
@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import learcov as lc
@@ -259,21 +260,14 @@ def test_the_console_script_runs_what_python_m_learcov_runs():
     assert getattr(main_module, called) is script_entry is main_module.main
 
 
-# Registers an atexit handler that prints the collector's state and the
-# numpy and learcov modules loaded, each with whether its namespace is on
-# the frozen heap (out of gc.get_objects), then runs the program as the
-# console script does.
+# Registers an atexit handler that prints the collector's state and what a
+# collection then finds, then runs the program as the console script does.
 GC_CHILD = """
 import atexit, gc, json, sys
 from learcov.__main__ import main
-before = gc.get_freeze_count()
 
 def report():
-    tracked = {id(o) for o in gc.get_objects()}
-    modules = {name: id(vars(module)) not in tracked
-               for name, module in sys.modules.items()
-               if name.split(".")[0] in ("numpy", "learcov")}
-    print(json.dumps([before, gc.isenabled(), gc.get_freeze_count(), modules]))
+    print(json.dumps([gc.isenabled(), gc.get_freeze_count(), gc.collect()]))
 
 atexit.register(report)
 sys.argv = ["learcov", *json.loads(sys.argv[1])]
@@ -281,28 +275,55 @@ main()
 """
 
 
-@pytest.mark.parametrize("args, frozen_modules", [
-    (BUILD, {"learcov.cli", "learcov.core", "numpy", "numpy.linalg"}),
-    (["fit", "--input", "data.csv"],
-     {"learcov.cli", "learcov.core", "learcov.dataio", "learcov.estimation",
-      "learcov.model", "numpy", "numpy.linalg"}),
-    (["simulate", "--spec", "spec.json", "--out", "sim.csv"],
-     {"learcov.cli", "learcov.core", "learcov.dataio", "learcov.model",
-      "learcov.sim", "numpy", "numpy.linalg"}),
-    # A small file is checked without numpy.
-    (["check-special-case", "--input", "data.csv"], {"learcov.cli"}),
-], ids=["build-matrix", "fit", "simulate", "check-special-case"])
-def test_the_program_runs_on_a_frozen_import_heap(files, args, frozen_modules):
-    status, stdout, stderr = outcome([sys.executable, "-c", GC_CHILD],
-                                     [json.dumps(args)], cwd=files)
-    assert (status, stderr) == (0, "")
-    before, enabled, frozen, modules = json.loads(stdout.splitlines()[-1])
-    assert before == 0 and enabled and frozen > 0
-    # numpy and the command's learcov modules were imported before the
-    # freeze.
-    assert frozen_modules <= {name for name, on_heap in modules.items() if on_heap}
-    if args[0] == "check-special-case":
-        assert not any(name.split(".")[0] == "numpy" for name in modules)
+@pytest.fixture(scope="module")
+def sized_inputs(tmp_path_factory):
+    """Simulation specs and the CSVs they draw: 30 subjects on one grid,
+    and 300 subjects each on its own grid, the unit grid shifted or jittered
+    (300 time patterns, many profile evaluations)."""
+    root = tmp_path_factory.mktemp("sized")
+    rng = np.random.default_rng(11)
+    grid = np.arange(1.0, 5.0)
+    inputs = {
+        "unit-30": (30, [grid]),
+        "shifted-300": (300, grid + rng.uniform(0, 1, (300, 1))),
+        "jittered-300": (300, grid + rng.uniform(-0.3, 0.3, (300, grid.size))),
+    }
+    for name, (n_subjects, times) in inputs.items():
+        spec = root / f"{name}.json"
+        spec.write_text(json.dumps({
+            "schema_version": 1,
+            "n_subjects": n_subjects,
+            "times": [list(t) for t in times],
+            "beta": [1.0],
+            "seed": 5,
+            "covariance": {"parameterization": "lear", "sigma2": 1.0,
+                           "rho_l": 0.5, "delta": 2.0},
+        }), encoding="utf-8")
+        lc.write_long_csv(root / f"{name}.csv", lc.simulate(lc.load_sim_spec(spec)))
+    return root
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("fit", ["unit-30", "shifted-300", "jittered-300"]),
+    # A comparison needs a grid of whole distances.
+    ("compare", ["unit-30", "shifted-300"]),
+    ("simulate", ["unit-30", "shifted-300", "jittered-300"]),
+    ("check-special-case", ["unit-30", "shifted-300", "jittered-300"]),
+])
+def test_the_program_runs_with_the_collector_off(sized_inputs, command, inputs):
+    collected = []
+    for name in inputs:
+        args = ([command, "--spec", f"{name}.json", "--out", "out.csv"]
+                if command == "simulate" else [command, "--input", f"{name}.csv"])
+        status, stdout, stderr = outcome([sys.executable, "-c", GC_CHILD],
+                                         [json.dumps(args)], cwd=sized_inputs)
+        assert (status, stderr) == (0, "")
+        enabled, frozen, found = json.loads(stdout.splitlines()[-1])
+        assert not enabled and frozen == 0
+        collected.append(found)
+    # Ten times the subjects, each with its own times, leave the same cyclic
+    # garbage: none is made per row, subject, pattern or evaluation.
+    assert len(set(collected)) == 1, collected
 
 
 @pytest.mark.parametrize("args", [

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from conftest import (
     per_subject_patterns,
     per_subject_prepared_groups,
     per_subject_special_case,
+    run_cli,
 )
 
 
@@ -138,17 +141,36 @@ EDGE_TIMES = st.lists(
 def test_the_python_verdict_is_the_numpy_verdict(subjects, rel_tol):
     # plain._special_case, which check-special-case runs on a small file
     # without numpy, against reparam's on the pattern table: equal flags
-    # and the same bits of spacing, or the same error. numpy warns of the
-    # spans that overflow, which the Python floats pass over in silence.
+    # and the same bits of spacing, or the same error.
     if all(len(t) == 1 for t in subjects):
         with pytest.raises(lc.DegenerateGrid):
             plain._special_case(subjects, rel_tol)
         return
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = lc.check_special_case(grid_of(*subjects), rel_tol)
+    want = lc.check_special_case(grid_of(*subjects), rel_tol)
     got = plain._special_case(subjects, rel_tol)
     assert got == want
     assert repr(got.spacing) == repr(want.spacing)
+
+
+def test_a_span_beyond_the_float_range_warns_of_nothing(tmp_path, monkeypatch):
+    # The span of a is 2e308, inf as a float: the verdict is judged on inf
+    # without a warning from learcov or from numpy, on either route of the
+    # command.
+    path = tmp_path / "data.csv"
+    path.write_text("subject,time\na,-1e308\na,1e308\nb,1\nb,2\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = grid_of([-1e308, 1e308], [1, 2])
+        assert (grid.d_min, grid.d_max) == (1.0, math.inf)
+        report = lc.check_special_case(grid)
+        small = run_cli(["check-special-case", "--input", str(path)])
+        monkeypatch.setattr(plain, "_SMALL_FILE", 0)
+        large = run_cli(["check-special-case", "--input", str(path)])
+    assert report == plain.SpecialCaseReport(False, False, True, None, False)
+    assert small.exit_code == large.exit_code == 0
+    assert small.stderr == large.stderr == ""
+    assert large.stdout == small.stdout
+    assert json.loads(small.stdout)["eligible"] is False
 
 
 @pytest.mark.parametrize("name", list(PATTERN_CASES))
