@@ -25,12 +25,10 @@ _MODULE_OF = {
         )),
         # reparameterization
         ("reparam", (
-            "check_special_case", "normalize_grid",
+            "SpecialCaseReport", "check_special_case", "normalize_grid",
             "map_lear_to_arma11", "map_arma11_to_lear", "lear_to_arma",
             "arma_to_lear", "correlation_at_distance",
         )),
-        # the special-case verdict, which needs no numpy
-        ("plain", ("SpecialCaseReport",)),
         # data and fit settings
         ("model", ("SubjectData", "RepeatedMeasuresData", "FitOptions")),
         # estimation

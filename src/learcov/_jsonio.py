@@ -7,10 +7,14 @@ hence this small emitter. Non-finite floats have no JSON representation and
 are serialized as null. Object keys keep insertion order; numpy scalars and
 arrays are converted to their Python equivalents by their ``tolist()``, so
 this module imports no numpy.
+
+A string is written as json.dumps writes it, ASCII only. One of printable
+ASCII with no quote or backslash, which json leaves as it is, is quoted
+here; any other goes to json.dumps, so a document of such strings, as
+every check-special-case document is, loads no json module.
 """
 from __future__ import annotations
 
-import json
 import math
 
 __all__ = ["dumps"]
@@ -20,6 +24,15 @@ def _format_float(x: float) -> str:
     if not math.isfinite(x):
         return "null"
     return format(x, ".17g")
+
+
+def _quote(s: str) -> str:
+    """``s`` as a JSON string, as json.dumps gives it."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    import json
+
+    return json.dumps(s)
 
 
 def _emit(obj, lines: list, indent: int | None, level: int) -> None:
@@ -34,7 +47,7 @@ def _emit(obj, lines: list, indent: int | None, level: int) -> None:
     elif isinstance(obj, float):
         lines.append(_format_float(float(obj)))
     elif isinstance(obj, str):
-        lines.append(json.dumps(obj))
+        lines.append(_quote(obj))
     elif isinstance(obj, dict):
         if not obj:
             lines.append("{}")
@@ -45,7 +58,7 @@ def _emit(obj, lines: list, indent: int | None, level: int) -> None:
                 raise TypeError(f"JSON object keys must be strings (got {key!r})")
             if i:
                 lines.append("," if indent is not None else ", ")
-            lines.append(pad + json.dumps(key) + ": ")
+            lines.append(pad + _quote(key) + ": ")
             _emit(value, lines, indent, level + 1)
         lines.append(end_pad + "}")
     elif isinstance(obj, (list, tuple)):

@@ -17,6 +17,9 @@ each body imports the numerics it runs: this module imports neither numpy
 nor learcov.core, so simulate never loads the estimation code,
 check-special-case neither it, the simulator nor learcov.model, and
 check-special-case of a small file not numpy either (see learcov.plain).
+Nor does this module import dataclasses: the bodies that read a
+dataclass's fields import it, and the check writes its document from the
+verdict's flags.
 The grammar is the one learcov had on click, kept token for token: a
 value-taking flag takes the next token whatever it looks like (--times
 -1,0,1), flags are never abbreviated, and every usage error is
@@ -33,7 +36,6 @@ import errno
 import os
 import sys
 import warnings
-from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
@@ -158,6 +160,8 @@ def _param_flag() -> tuple[_Option, ...]:
 def _fit_flags() -> tuple[_Option, ...]:
     """--criterion, then one flag per FitOptions field, of the field's type
     and with its default."""
+    from dataclasses import fields
+
     from .model import CRITERIA, FitOptions
 
     return (
@@ -518,6 +522,8 @@ def _parse_times(text: str) -> np.ndarray:
 
 
 def _fit_options(params: dict):
+    from dataclasses import fields
+
     from .model import FitOptions
 
     return FitOptions(**{f.name: params[f.name] for f in fields(FitOptions)})
@@ -548,6 +554,8 @@ def _load_data(params: dict):
 )
 def build_matrix(p: dict) -> dict | None:
     """Print the covariance matrix for one subject's measurement times."""
+    from dataclasses import asdict
+
     from .core import LearParams, build_grid, lear_covariance
 
     t = _parse_times(_require_flag(p, "times", "--times"))
@@ -608,6 +616,8 @@ def _max_lag_difference(lear: LearParams, arma: Arma11Params, rng: float) -> flo
 )
 def reparam_cmd(p: dict) -> dict:
     """Map parameters between the distance and position forms."""
+    from dataclasses import asdict
+
     from .core import Arma11Params, LearParams, build_grid
     from .reparam import _canonical_range, map_arma11_to_lear, map_lear_to_arma11
 
@@ -665,14 +675,14 @@ def reparam_cmd(p: dict) -> dict:
 @_command("check-special-case", *_TIME_OPTIONS)
 def check_special_case_cmd(p: dict) -> dict:
     """Report whether a dataset's grid reduces to unit-spaced integers."""
-    from .plain import _check_csv
+    from .plain import FLAGS, _check_csv
 
     # The verdict depends on the times alone: no y, design or dataset. A
     # small file is judged without numpy.
-    report = _check_csv(_require_flag(p, "input_path", "--input"),
-                        [p["subject_col"], p["time_col"]])
+    flags = _check_csv(_require_flag(p, "input_path", "--input"),
+                       [p["subject_col"], p["time_col"]])
     # The verdict first, then the flags behind it in field order.
-    return {"eligible": report.eligible, **asdict(report)}
+    return {"eligible": flags[-1], **dict(zip(FLAGS, flags))}
 
 
 @_command(

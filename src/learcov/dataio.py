@@ -25,16 +25,16 @@ subject id quoted once; only y is formatted per row.
 
 The dataset type and the design rules come from learcov.model, which
 read_long_csv imports when it is called, as load_sim_spec imports sim for
-SimSpec: reading and writing CSV loads neither the estimation nor the
-simulation module, reading only columns (_read_sorted) not the model, and
-writing neither the model nor learcov.plain.
+SimSpec and json for the spec: reading and writing CSV loads neither the
+estimation nor the simulation module nor json, reading only columns
+(_read_sorted) not the model, and writing neither the model nor
+learcov.plain.
 """
 from __future__ import annotations
 
 import csv
 import io
 import itertools
-import json
 import re
 import warnings
 from collections import Counter
@@ -340,6 +340,8 @@ def load_sim_spec(path) -> SimSpec:
     optional and defaults to "intercept". Unknown fields are rejected so
     typos fail loudly instead of silently using defaults.
     """
+    import json
+
     from .sim import SimSpec
 
     with open(path, "r", encoding="utf-8") as fh:

@@ -870,8 +870,8 @@ def fit(
     if parameterization == "arma11":
         from . import reparam
 
-        report = reparam._special_case(data._patterns, d_min)
-        if not report.eligible:
+        *_, eligible = reparam._special_case(data._patterns, d_min)
+        if not eligible:
             raise NotSpecialCase(
                 "ARMA(1,1) fitting needs a grid reducible to unit-spaced "
                 "integer distances"
@@ -1037,12 +1037,13 @@ def compare_parameterizations(
     from . import reparam
 
     patterns = data._patterns
-    report = reparam._special_case(patterns, patterns.defined_extremes()[0])
-    if not report.eligible:
+    *_, spacing, eligible = reparam._special_case(
+        patterns, patterns.defined_extremes()[0])
+    if not eligible:
         raise NotSpecialCase(
             "comparison needs a grid reducible to unit-spaced integer distances"
         )
-    unit = reparam._unit_times(patterns, report.spacing)
+    unit = reparam._unit_times(patterns, spacing)
     times = np.concatenate([unit[n] for n in patterns.ids.tolist()])
     data_n = RepeatedMeasuresData._from_columns(times, data.y, data.X, data.offsets)
 
@@ -1067,7 +1068,7 @@ def compare_parameterizations(
 
     return ComparisonReport(
         criterion=criterion,
-        spacing=float(report.spacing),
+        spacing=float(spacing),
         lear=lear_fit,
         arma11=arma_fit,
         loglik_difference=abs(lear_fit.max_loglik - arma_fit.max_loglik),

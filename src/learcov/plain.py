@@ -9,9 +9,11 @@ falls back on when numpy's reader refuses a file), which names the first.
 A larger file, or one the csv module cannot read, goes to numpy's reader
 and reparam._special_case, as every library caller does.
 
-SpecialCaseReport, the verdict of either judge, is defined here, so
-reparam imports this module, and so does dataio for the header read and
-the row walk.
+Either judge's verdict is the five flags of reparam.SpecialCaseReport, a
+tuple in the order of FLAGS; check_special_case makes the report of them.
+This module imports neither numpy nor dataclasses, so a check of a small
+file loads neither. reparam imports it for the tolerance, and dataio for
+the header read and the row walk.
 """
 from __future__ import annotations
 
@@ -21,15 +23,18 @@ import io
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import DegenerateGrid, DuplicateMeasurement, ParseError
 
-__all__ = ["SpecialCaseReport", "DEFAULT_REL_TOL"]
+__all__ = ["DEFAULT_REL_TOL", "FLAGS"]
 
 #: Relative tolerance for judging equal spacing and integer distances.
 DEFAULT_REL_TOL = 1e-9
+
+#: The names of a verdict's flags, in order: the fields of
+#: reparam.SpecialCaseReport.
+FLAGS = ("equally_spaced", "integer_distances", "dmin_is_one", "spacing", "eligible")
 
 # Size of a file, in bytes (characters for a pipe), from which
 # check-special-case imports numpy and reads it with numpy's reader: where
@@ -38,23 +43,6 @@ DEFAULT_REL_TOL = 1e-9
 # ms faster at 2.6 MB, 7 to 20 ms faster at 4.2 to 4.7 MB and 13 ms slower
 # at 5.3 MB.
 _SMALL_FILE = 5_000_000
-
-
-@dataclass(frozen=True)
-class SpecialCaseReport:
-    """Eligibility flags for the ARMA(1,1) reparameterization.
-
-    ``spacing`` is the common consecutive gap h when one exists, else None.
-    ``integer_distances`` and ``dmin_is_one`` are judged after dividing by h
-    when spacing exists, otherwise on the raw distances. ``eligible`` is the
-    conjunction of the three flags.
-    """
-
-    equally_spaced: bool
-    integer_distances: bool
-    dmin_is_one: bool
-    spacing: float | None
-    eligible: bool
 
 
 @contextlib.contextmanager
@@ -202,8 +190,8 @@ def _two_or_more(rows: int) -> None:
         )
 
 
-def _check_csv(path, names) -> SpecialCaseReport:
-    """The special-case verdict of the times in the CSV at ``path``.
+def _check_csv(path, names) -> tuple:
+    """The special-case flags of the times in the CSV at ``path``.
 
     ``names`` are the subject and time columns. A file smaller than
     _SMALL_FILE is read by csv.reader and judged in Python; a larger one, or
@@ -227,7 +215,7 @@ def _check_csv(path, names) -> SpecialCaseReport:
         return judge(patterns, patterns.defined_extremes()[0])
 
 
-def _check_small(fh, names) -> SpecialCaseReport:
+def _check_small(fh, names) -> tuple:
     """_check_csv of the CSV open as ``fh``, without numpy."""
     reader, positions = _read_header(fh, names)
     read = _read_times(reader, positions)
@@ -246,14 +234,15 @@ def _check_small(fh, names) -> SpecialCaseReport:
 
 def _special_case(
     subject_times: list[list[float]], rel_tol: float = DEFAULT_REL_TOL
-) -> SpecialCaseReport:
-    """reparam._special_case on Python floats.
+) -> tuple:
+    """reparam._special_case on Python floats: the flags in FLAGS order.
 
     ``subject_times`` holds each subject's times, sorted, in order of first
     appearance. The arithmetic is numpy's, one IEEE operation at a time, so
-    the flags and the spacing have the same bits. Each distinct time vector
-    is judged once; vectors equal as floats (0.0 and -0.0) share one, which
-    moves no difference between times.
+    the flags and the spacing have the same bits. Each distinct gap and each
+    distinct difference between two times of a subject is judged once: a
+    quotient depends on the difference alone. Vectors equal as floats (0.0
+    and -0.0) have the same differences.
     """
     multi = [t for t in subject_times if len(t) > 1]
     if not multi:
@@ -263,24 +252,24 @@ def _special_case(
     # The first subject with two times fixes the gap.
     h = multi[0][1] - multi[0][0]
     patterns = set(map(tuple, multi))
-    gaps = [b - a for t in patterns for a, b in zip(t, t[1:])]
+    gaps = {b - a for t in patterns for a, b in zip(t, t[1:])}
     bound = rel_tol * abs(h)
     equally_spaced = all(abs(g - h) <= bound for g in gaps)
 
     scale = h if equally_spaced else 1.0
+    # Each difference is judged when first met, and the first that is not
+    # whole ends the check.
+    judged: set[float] = set()
     integer_distances = all(
-        _whole((t[k] - t[j]) / scale, rel_tol)
-        for t in patterns for k in range(1, len(t)) for j in range(k)
+        _whole(d / scale, rel_tol)
+        for t in patterns for a, b in itertools.combinations(t, 2)
+        if (d := b - a) not in judged and not judged.add(d)
     )
     dmin_is_one = abs(min(gaps) / scale - 1.0) <= rel_tol
 
-    return SpecialCaseReport(
-        equally_spaced=equally_spaced,
-        integer_distances=integer_distances,
-        dmin_is_one=dmin_is_one,
-        spacing=h if equally_spaced else None,
-        eligible=equally_spaced and integer_distances and dmin_is_one,
-    )
+    return (equally_spaced, integer_distances, dmin_is_one,
+            h if equally_spaced else None,
+            equally_spaced and integer_distances and dmin_is_one)
 
 
 def _whole(s: float, rel_tol: float) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     Unidentifiable,
     UnidentifiableWarning,
 )
-from .plain import DEFAULT_REL_TOL, SpecialCaseReport
+from .plain import DEFAULT_REL_TOL
 
 __all__ = [
     "SpecialCaseReport",
@@ -58,6 +58,23 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class SpecialCaseReport:
+    """Eligibility flags for the ARMA(1,1) reparameterization.
+
+    ``spacing`` is the common consecutive gap h when one exists, else None.
+    ``integer_distances`` and ``dmin_is_one`` are judged after dividing by h
+    when spacing exists, otherwise on the raw distances. ``eligible`` is the
+    conjunction of the three flags. The fields are plain.FLAGS, in order.
+    """
+
+    equally_spaced: bool
+    integer_distances: bool
+    dmin_is_one: bool
+    spacing: float | None
+    eligible: bool
+
+
 def check_special_case(
     grid: MeasurementGrid, rel_tol: float = DEFAULT_REL_TOL
 ) -> SpecialCaseReport:
@@ -67,7 +84,7 @@ def check_special_case(
     checked once however many subjects share it. The first subject with two
     measurements fixes the gap h that every other gap is compared with.
     """
-    return _special_case(grid._patterns, grid.d_min, rel_tol)
+    return SpecialCaseReport(*_special_case(grid._patterns, grid.d_min, rel_tol))
 
 
 # Patterns whose distances are checked at once: bounds the temporaries
@@ -78,8 +95,9 @@ _CHECK_CHUNK = 1 << 12
 @np.errstate(over="ignore", invalid="ignore")  # a span beyond floats is inf
 def _special_case(
     patterns: _Patterns, d_min: float, rel_tol: float = DEFAULT_REL_TOL
-) -> SpecialCaseReport:
-    """check_special_case of a grid with pattern table ``patterns``.
+) -> tuple:
+    """The flags of check_special_case, in plain.FLAGS order, of a grid with
+    pattern table ``patterns``.
 
     plain._special_case is its port to Python floats.
     """
@@ -100,13 +118,9 @@ def _special_case(
     scaled_dmin = d_min / scale
     dmin_is_one = abs(scaled_dmin - 1.0) <= rel_tol
 
-    return SpecialCaseReport(
-        equally_spaced=equally_spaced,
-        integer_distances=integer_distances,
-        dmin_is_one=dmin_is_one,
-        spacing=h if equally_spaced else None,
-        eligible=equally_spaced and integer_distances and dmin_is_one,
-    )
+    return (equally_spaced, integer_distances, dmin_is_one,
+            h if equally_spaced else None,
+            equally_spaced and integer_distances and dmin_is_one)
 
 
 def _whole_distances(stack: np.ndarray, scale: float, rel_tol: float) -> bool:

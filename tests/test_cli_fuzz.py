@@ -17,8 +17,13 @@ runs reach the command's own work. Sizes stay small: no drawn value asks
 for more than a few MB.
 
 Tier-1 draws the same 1000 argument lists on every run (``derandomize``),
-so a fault fails the change that brings it. New draws come from the
-``fuzz-explore`` profile, run on demand:
+so a fault fails the change that brings it. The draws are fixed for fixed
+strategies only: hypothesis feeds one fixed sequence of choices through
+whatever strategies the test builds, so rewriting a strategy, even into one
+that draws the same values, deals every fixed draw anew. When a success
+floor fails after a strategy edit, count the successes per command again
+on the parent's strategies and on the new ones before blaming the program.
+New draws come from the ``fuzz-explore`` profile, run on demand:
 
     python -m pytest tests/test_cli_fuzz.py --hypothesis-profile=fuzz-explore
 """

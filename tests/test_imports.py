@@ -6,10 +6,14 @@ against. No command loads click either: the CLI is built on the standard
 library. Nor does a command load learcov modules it does not run: simulate
 never loads the estimation code, check-special-case neither that nor the
 simulator, and check-special-case and build-matrix not learcov.model.
-``import learcov`` itself loads no module until a name is used. These tests read ``sys.modules`` after the import or the command,
-never a wall-clock time, and run every command once more with scipy
-unimportable.
+``import learcov`` itself loads no module until a name is used. Of the
+standard library, a check of a small file loads neither dataclasses (and
+with it inspect) nor json, and of the commands run here only simulate,
+which reads a JSON spec, loads json. These tests read ``sys.modules``
+after the import or the command, never a wall-clock time, and run every
+command once more with scipy unimportable.
 """
+import ast
 import importlib
 import json
 import os
@@ -25,14 +29,14 @@ from conftest import simulated_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Imports learcov, then runs the command given as a JSON argument list (if
-# any) through cli.main with its output captured, fails if numpy.ma was
-# loaded, and prints its exit code and the scipy, numpy, click and learcov
-# modules loaded.
+# Imports learcov, then runs the command given by its arguments (if any)
+# through cli.main with its output captured, fails if numpy.ma was loaded,
+# and prints the repr of its exit code and the names of the modules loaded.
+# It imports neither json nor ast, so that what the command loads shows.
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import learcov
-args = json.loads(sys.argv[1])
+args = sys.argv[1:]
 exit_code = None
 if args:
     from learcov.cli import main
@@ -43,13 +47,7 @@ if args:
         sys.stderr.write(output.getvalue())
 # numpy.ma costs a command about 10 ms; a bare np.unique(x) imports it.
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
-print(json.dumps({
-    "exit_code": exit_code,
-    "modules": sorted(
-        m for m in sys.modules
-        if m.split(".")[0] in ("scipy", "numpy", "click", "learcov")
-    ),
-}))
+print(repr((exit_code, sorted(sys.modules))))
 """
 
 
@@ -66,14 +64,12 @@ def loaded_by(args, *packages):
     """(exit code, modules of ``packages`` loaded) of ``args`` in a fresh
     interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(args)],
+        [sys.executable, "-c", CHILD, *args],
         capture_output=True, text=True, env=child_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
-    return out["exit_code"], {
-        m for m in out["modules"] if m.split(".")[0] in packages
-    }
+    exit_code, modules = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return exit_code, {m for m in modules if m.split(".")[0] in packages}
 
 
 @pytest.fixture(scope="module")
@@ -216,9 +212,31 @@ SMALL_CHECKS = {
 }
 
 
-def test_check_special_case_of_a_small_file_loads_no_numpy(files):
+def test_check_special_case_of_a_small_file_loads_no_numpy_json_or_dataclasses(
+        files):
+    # dataclasses loads inspect, and that ast, dis and tokenize.
     assert loaded_by(["check-special-case", "--input", files["csv"]],
-                     "numpy") == (0, set())
+                     "numpy", "json", "dataclasses", "inspect") == (0, set())
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--input", "{csv}"],
+    ["compare", "--input", "{csv}"],
+    ["build-matrix", "--times", "1,2,3", "--rho-l", "0.5", "--delta", "1"],
+    ["reparam", "--direction", "lear2arma", "--times", "1,2,3",
+     "--rho-l", "0.6", "--delta", "2"],
+    ["check-special-case", "--input", "{long}"],
+], ids=["fit", "compare", "build-matrix", "reparam", "check-special-case-long-field"])
+def test_commands_that_read_no_json_load_no_json(files, args):
+    # Their documents hold only strings that _jsonio quotes itself.
+    args = [a.format(**files) for a in args]
+    assert loaded_by(args, "json") == (0, set())
+
+
+def test_simulate_loads_json_to_read_its_spec(files):
+    _, loaded = loaded_by(["simulate", "--spec", files["spec"], "--out", files["out"]],
+                          "json", "dataclasses", "inspect", "numpy")
+    assert {"json", "json.decoder", "dataclasses", "inspect", "numpy"} <= loaded
 
 
 def test_the_finder_refuses_numpy():

@@ -1,11 +1,16 @@
-"""The JSON writer's output for numpy values.
+"""The JSON writer's output for numpy values and for strings.
 
 _jsonio converts numpy scalars and arrays through their ``tolist()``, so
 that it imports no numpy. The expected documents are what the writer gave
-when it tested each value against numpy's types.
+when it tested each value against numpy's types. It quotes a string of
+printable ASCII itself, and must give json's bytes for every string.
 """
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from learcov._jsonio import dumps
 
@@ -65,3 +70,24 @@ def test_values_of_no_json_type_are_refused():
     for value in (np.complex128(1j), {1: 2}, object()):
         with pytest.raises(TypeError):
             dumps(value)
+
+
+# Any code point, lone surrogates included, and the characters at the edges
+# of what _jsonio quotes itself.
+TEXT = st.text(st.one_of(
+    st.characters(codec=None, categories=None),
+    st.sampled_from('\x00\x08\t\n\x1f "\\/~\x7f\x80\xe9\u2028\ud800\udfff\U0001f600'),
+))
+
+
+@settings(max_examples=500, deadline=None)
+@given(TEXT, TEXT)
+@example("", "a b")
+@example("~", "\x7f")
+@example('"', "\\")
+@example("\x1f", "\xe9")
+@example("\ud800", "\U0001f600")
+def test_strings_are_written_as_json_writes_them(value, key):
+    assert dumps(value) == json.dumps(value)
+    assert dumps({key: value}) == json.dumps({key: value})
+    assert dumps([value, {key: 1}], indent=2) == json.dumps([value, {key: 1}], indent=2)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -147,7 +149,7 @@ def test_the_python_verdict_is_the_numpy_verdict(subjects, rel_tol):
             plain._special_case(subjects, rel_tol)
         return
     want = lc.check_special_case(grid_of(*subjects), rel_tol)
-    got = plain._special_case(subjects, rel_tol)
+    got = lc.SpecialCaseReport(*plain._special_case(subjects, rel_tol))
     assert got == want
     assert repr(got.spacing) == repr(want.spacing)
 
@@ -166,7 +168,7 @@ def test_a_span_beyond_the_float_range_warns_of_nothing(tmp_path, monkeypatch):
         small = run_cli(["check-special-case", "--input", str(path)])
         monkeypatch.setattr(plain, "_SMALL_FILE", 0)
         large = run_cli(["check-special-case", "--input", str(path)])
-    assert report == plain.SpecialCaseReport(False, False, True, None, False)
+    assert report == lc.SpecialCaseReport(False, False, True, None, False)
     assert small.exit_code == large.exit_code == 0
     assert small.stderr == large.stderr == ""
     assert large.stdout == small.stdout
@@ -178,9 +180,44 @@ def test_the_python_verdict_of_the_pattern_cases(name):
     subjects = [[float(v) for v in t] for t in PATTERN_CASES[name]]
     grid = grid_of(*subjects)
     for rel_tol in (1e-9, 1e-12):
-        got = plain._special_case(subjects, rel_tol)
+        got = lc.SpecialCaseReport(*plain._special_case(subjects, rel_tol))
         assert got == lc.check_special_case(grid, rel_tol)
         assert repr(got.spacing) == repr(lc.check_special_case(grid, rel_tol).spacing)
+
+
+def test_the_verdict_flags_are_the_report_fields_in_order():
+    report = lc.check_special_case(grid_of([2, 4, 6], [10, 12]))
+    assert tuple(f.name for f in dataclasses.fields(report)) == plain.FLAGS
+    assert dataclasses.asdict(report) == dict(zip(plain.FLAGS,
+                                                  (True, True, True, 2.0, True)))
+
+
+# Jitters as fractions of the gap: none, within each tolerance, and beyond.
+JITTERS = [0.0, 1e-13, 1e-11, 1e-8, 1e-3, 0.25]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=7),
+       st.sampled_from([1.0, 0.5, 0.1, 3.0, 1e-3, 2.0 ** -20]),
+       st.lists(st.tuples(st.floats(-1e3, 1e3), st.sampled_from(JITTERS),
+                          st.integers(0, 7)),
+                min_size=1, max_size=300),
+       st.sampled_from([1e-9, 1e-12]))
+def test_the_python_verdict_on_many_shifted_and_jittered_patterns(
+        steps, h, subjects, rel_tol):
+    # Each subject has one pattern of visits on multiples of h, shifted by
+    # its own offset and with one visit moved by a fraction of h: many
+    # distinct patterns, eligible or not, which share most differences.
+    base = [h * k for k in itertools.accumulate(steps, initial=0)]
+    times = []
+    for offset, jitter, at in subjects:
+        t = [offset + b for b in base]
+        t[at % len(t)] += jitter * h
+        times.append(t)
+    want = lc.check_special_case(grid_of(*times), rel_tol)
+    got = lc.SpecialCaseReport(*plain._special_case(times, rel_tol))
+    assert got == want
+    assert repr(got.spacing) == repr(want.spacing)
 
 
 def test_normalize_grid_rescales_to_unit_gaps():
@@ -283,7 +320,8 @@ def test_the_pattern_table_matches_the_per_subject_scan(vectors):
         eager.d_min.hex(), eager.d_max.hex(), None)
     reference = per_subject_special_case(eager)
     assert lc.check_special_case(grid) == reference
-    assert _special_case(table, table.defined_extremes()[0]) == reference
+    assert lc.SpecialCaseReport(
+        *_special_case(table, table.defined_extremes()[0])) == reference
     assert outcome(lc.normalize_grid, grid) == outcome(
         per_subject_normalize_grid, eager)
 
