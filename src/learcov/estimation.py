@@ -38,8 +38,11 @@ of two large ones, which keeps it accurate near a perfect fit.
 
 Optimization is a coarse grid scan over the (rho-type, second-parameter) box
 followed by Nelder-Mead refinement on transformed coordinates (logit for
-rho-type parameters, log for delta). The refined point is only accepted if it
-does not fall below the best grid point, so the scan provides a floor.
+rho-type parameters, log for delta). fit evaluates both through
+_profile_points: the scan in one call, and each batch that the generator
+_nelder_mead yields (its initial simplex, a shrink, or a single step) in one
+call, whose values it sends back. The refined point is only accepted if it
+does not fall below the best grid point; otherwise the scan's result stands.
 
 This module does not use scipy: loading scipy.optimize, scipy.special and
 scipy.linalg took about half the wall time of a CLI fit on 3000 subjects,
@@ -747,34 +750,28 @@ def _logit_box(lo: float, hi: float, margin: float):
     return to_box, from_box
 
 
-def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
-    """Minimize ``func`` from ``x0`` by the Nelder-Mead simplex method.
+def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
+    """Minimize from ``x0`` by the Nelder-Mead simplex method, as a generator.
 
-    A port of the default path of scipy.optimize.minimize(method=
-    "Nelder-Mead") in scipy 1.17: the same initial simplex, coefficients,
-    orderings and stopping test, with no cap on evaluations. It visits the
-    same points and returns the same (x, nit, success); success is False
-    when the iteration count reaches ``maxiter``. ``func`` must not modify
-    its argument.
+    It yields each batch of points it needs as an (n, N) array, which the
+    caller must not modify, is sent their n values, and returns (x, nit,
+    success). The initial simplex is one batch and each shrink one batch of
+    N points; the other steps are single points. A port of the default path
+    of scipy.optimize.minimize(method="Nelder-Mead") in scipy 1.17: the same
+    initial simplex, coefficients, orderings and stopping test, with no cap
+    on evaluations, so the same points and the same (x, nit, success);
+    success is False when the iteration count reaches ``maxiter``.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
 
     x0 = np.asarray(x0, dtype=float).ravel()
     N = len(x0)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
+    sim = np.tile(x0, (N + 1, 1))
     for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
+        sim[k + 1, k] = (1 + nonzdelt) * x0[k] if x0[k] != 0 else zdelt
 
-    fsim = np.full((N + 1,), np.inf)
-    for k in range(N + 1):
-        fsim[k] = func(sim[k])
+    fsim = np.array((yield sim), dtype=float)
     # Sorted twice, as scipy does: numpy's argsort need not keep ties in order.
     for _ in range(2):
         ind = np.argsort(fsim)
@@ -784,7 +781,8 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
     iterations = 1
     while iterations < maxiter:
         # Where fsim holds inf, inf - inf is a quiet NaN that fails the
-        # test, as in scipy.
+        # test, as in scipy. No yield in this block: numpy's error state is
+        # context-local, so the caller's evaluations would run under it.
         with np.errstate(invalid="ignore"):
             if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
                     and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
@@ -792,12 +790,12 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
 
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = func(xr)
+        (fxr,) = yield xr[None]
         doshrink = False
 
         if fxr < fsim[0]:
             xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = func(xe)
+            (fxe,) = yield xe[None]
             if fxe < fxr:
                 sim[-1] = xe
                 fsim[-1] = fxe
@@ -811,7 +809,7 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
             if fxr < fsim[-1]:
                 # Outside contraction.
                 xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = func(xc)
+                (fxc,) = yield xc[None]
                 if fxc <= fxr:
                     sim[-1] = xc
                     fsim[-1] = fxc
@@ -820,16 +818,15 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float, fatol: float):
             else:
                 # Inside contraction.
                 xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = func(xcc)
+                (fxcc,) = yield xcc[None]
                 if fxcc < fsim[-1]:
                     sim[-1] = xcc
                     fsim[-1] = fxcc
                 else:
                     doshrink = True
             if doshrink:
-                for j in range(1, N + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = yield sim[1:]
         iterations += 1
         ind = np.argsort(fsim)
         sim = np.take(sim, ind, 0)
@@ -897,16 +894,11 @@ def fit(
             )
 
     prep = data._prepared
-
-    def profile_at(a: float, b: float):  # a _tail tuple, or the failure
-        (result,) = _profile_points(prep, parameterization, criterion, [a], [b])
-        return result
-
     axis1 = np.linspace(lo1, opts.rho_cap, opts.grid_points)
     axis2 = np.linspace(lo2, cap2, opts.grid_points)
 
-    # The whole scan, first parameter outermost, keeping only the best point;
-    # ties are broken by the smaller second then first parameter.
+    # The whole scan, first parameter outermost, keeping the best point and
+    # its _tail tuple; ties go to the smaller second then first parameter.
     grid_a, grid_b = (
         v.ravel().tolist() for v in np.meshgrid(axis1, axis2, indexing="ij")
     )
@@ -916,14 +908,14 @@ def fit(
             prep, parameterization, criterion, grid_a, grid_b)):
         if isinstance(result, Exception):
             n_failures += 1
-        elif best is None or (result[0], -b, -a) > best:
-            best = (result[0], -b, -a)
+        elif best is None or (result[0], -b, -a) > best[0]:
+            best = (result[0], -b, -a), a, b, result
     if best is None:
         raise FitFailed(
             f"all {opts.grid_points ** 2} grid points failed "
             f"(not positive definite or singular)"
         )
-    scan_ll, scan_b, scan_a = best[0], -best[1], -best[2]
+    (scan_ll, _, _), scan_a, scan_b, scan = best
 
     # Transform to unconstrained coordinates so the simplex stays interior:
     # scaled logit for rho-type parameters, log for delta. The delta cap is
@@ -941,23 +933,25 @@ def fit(
     else:
         to_box2, from_box2 = _logit_box(lo2, cap2, margin)
 
-    def negative(u) -> float:
-        result = profile_at(to_box1(u[0]), to_box2(u[1]))
-        return math.inf if isinstance(result, Exception) else -result[0]
-
-    start = np.array([from_box1(scan_a), from_box2(scan_b)])
-    x, iterations, converged = _nelder_mead(
-        negative, start, opts.max_iterations, xatol=1e-8, fatol=opts.tolerance
-    )
+    # Minimize -loglik, inf where a point fails: one call per batch.
+    refinement = _nelder_mead([from_box1(scan_a), from_box2(scan_b)],
+                              opts.max_iterations, 1e-8, opts.tolerance)
+    values = None
+    try:
+        while True:
+            u1, u2 = refinement.send(values).T.tolist()
+            results = _profile_points(prep, parameterization, criterion,
+                                      [*map(to_box1, u1)], [*map(to_box2, u2)])
+            values = [math.inf if isinstance(r, Exception) else -r[0]
+                      for r in results]
+    except StopIteration as stop:
+        x, iterations, converged = stop.value
     final_a, final_b = to_box1(x[0]), to_box2(x[1])
-    final = profile_at(final_a, final_b)
-    refined_ll = -math.inf if isinstance(final, Exception) else final[0]
-    # The refinement never wins with a worse value than the scan floor, or NaN.
-    if not refined_ll >= scan_ll:
-        final_a, final_b = scan_a, scan_b
-        final = profile_at(final_a, final_b)
-    if isinstance(final, Exception):
-        raise final
+    (final,) = _profile_points(prep, parameterization, criterion,
+                               [final_a], [final_b])
+    # The refinement never wins with a failure, a value below the scan, or NaN.
+    if isinstance(final, Exception) or not final[0] >= scan_ll:
+        final_a, final_b, final = scan_a, scan_b, scan
     final_ll, sigma2_hat, La, u = final
     beta_hat = _beta(prep, La, u)
 

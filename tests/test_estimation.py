@@ -950,17 +950,36 @@ def test_near_unit_correlation_puts_rho_at_its_cap():
 
 def test_the_scan_point_is_kept_when_the_refinement_ends_lower(monkeypatch):
     data = simulated_dataset(60, [1, 2, 3, 4], seed=7, rho_l=0.6, delta=1.0)
-    # A refinement that ends near rho_l = 0, delta = 0, far below the scan.
-    monkeypatch.setattr(
-        estimation, "_nelder_mead",
-        lambda func, x0, maxiter, xatol, fatol: (np.array([-30.0, -30.0]), 7, True),
-    )
+
+    def ends_low(x0, maxiter, xatol, fatol):
+        # Near rho_l = 0, delta = 0, far below the scan, asking for no point.
+        return np.array([-30.0, -30.0]), 7, True
+        yield
+
+    calls = []
+    profile_points = estimation._profile_points
+
+    def recorded(prep, param, criterion, a, b):
+        calls.append(list(zip(a, b)))
+        return profile_points(prep, param, criterion, a, b)
+
+    monkeypatch.setattr(estimation, "_nelder_mead", ends_low)
+    monkeypatch.setattr(estimation, "_profile_points", recorded)
     res = lc.fit(data)
+    monkeypatch.undo()
     refined = (0.99 / (1.0 + math.exp(30.0)), math.exp(-30.0))
+    # The scan, then the refined point, and nothing after it: the scan's own
+    # result is kept.
+    assert [len(points) for points in calls] == [441, 1]
+    assert calls[1][0] == pytest.approx(refined, rel=1e-15)
     assert lc.profile_loglik(data, refined) < res.max_loglik
     assert res.max_loglik == res.scan_max_loglik
     assert res.estimates.rho_l in np.linspace(0.0, 0.99, 21)
     assert res.estimates.delta in np.linspace(0.0, 5.0 * 2.0, 21)
+    at_scan = lc.profile_estimates(data, (res.estimates.rho_l, res.estimates.delta))
+    assert at_scan.loglik == res.max_loglik
+    assert at_scan.sigma2_hat == res.estimates.sigma2
+    assert at_scan.beta_hat.tobytes() == res.beta_hat.tobytes()
     # The refinement's own report is passed on.
     assert (res.iterations, res.converged) == (7, True)
 
@@ -977,7 +996,7 @@ def test_fit_evaluates_the_refined_point_once(monkeypatch, parameterization):
         return profile_points(prep, param, criterion, a, b)
 
     def refinement(*args, **kwargs):
-        out = nelder_mead(*args, **kwargs)
+        out = yield from nelder_mead(*args, **kwargs)
         after_refinement.append("done")
         return out
 
@@ -989,6 +1008,44 @@ def test_fit_evaluates_the_refined_point_once(monkeypatch, parameterization):
     assert after_refinement == ["done", (astuple(res.estimates)[1:],)]
     monkeypatch.undo()
     assert lc.fit(data, parameterization).to_dict() == res.to_dict()
+
+
+def refinement_cases():
+    for grid, patterns in SCAN_GRIDS.items():
+        data = pattern_dataset(patterns, 2, seed=5)
+        yield pytest.param(data, "lear", 1, id=f"lear-{grid}")
+        if grid in ("unit", "gap2"):  # ARMA(1,1) needs equal gaps
+            yield pytest.param(data, "arma11", 1, id=f"arma11-{grid}")
+    # Negatively correlated data: the LEAR optimum lies on the rho_l = 0
+    # edge, where the simplex shrinks again and again.
+    data = arma11_dataset(80, np.arange(1.0, 7.0), seed=3, tau=-0.3, rho_a=0.5)
+    yield pytest.param(data, "lear", 20, id="lear-edge")
+
+
+@pytest.mark.parametrize("data, parameterization, min_shrinks", refinement_cases())
+def test_refinement_batches_round_as_single_points(
+    monkeypatch, data, parameterization, min_shrinks
+):
+    batches = []
+    profile_points = estimation._profile_points
+
+    def recorded(prep, param, criterion, a, b):
+        results = list(profile_points(prep, param, criterion, a, b))
+        batches.append((list(zip(a, b)), results))
+        return results
+
+    monkeypatch.setattr(estimation, "_profile_points", recorded)
+    lc.fit(data, parameterization)
+    monkeypatch.undo()
+    prep = _Prepared(data)
+    # After the scan: the initial simplex, single points, the shrinks (two
+    # points each) and the refined point.
+    sizes = [len(points) for points, _ in batches[1:]]
+    assert sizes[0] == 3 and sizes[-1] == 1 and set(sizes[1:]) <= {1, 2}
+    assert sizes.count(2) >= min_shrinks
+    for points, results in batches[1:]:
+        assert outcomes(results) == outcomes(
+            per_point_scan(prep, parameterization, "ml", points))
 
 
 def test_logit_box_maps_as_the_closures_it_replaced():
@@ -1185,20 +1242,26 @@ def test_nelder_mead_takes_scipys_steps(func, x0, maxiter):
     from scipy.optimize import minimize
     from learcov.estimation import _nelder_mead
 
-    values = []
-
-    def recorded(x):
-        values.append(func(x))
-        return values[-1]
-
     want = minimize(func, np.array(x0), method="Nelder-Mead",
                     options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-10})
-    x, nit, success = _nelder_mead(recorded, np.array(x0), maxiter,
-                                   xatol=1e-8, fatol=1e-10)
+    refinement = _nelder_mead(np.array(x0), maxiter, xatol=1e-8, fatol=1e-10)
+    values, shapes, sent = [], [], None
+    try:
+        while True:
+            batch = refinement.send(sent)
+            shapes.append(batch.shape)
+            sent = [func(x) for x in batch]
+            values.extend(sent)
+    except StopIteration as stop:
+        x, nit, success = stop.value
     assert np.array_equal(x, want.x)
     assert (nit, success) == (want.nit, want.success)
     assert len(values) == want.nfev
     assert success == (maxiter == 400)
+    # The initial simplex, then single points and shrinks of N points.
+    assert shapes[0] == (3, 2) and set(shapes[1:]) <= {(1, 2), (2, 2)}
+    if func is rippled_bowl:
+        assert shapes.count((2, 2)) >= 1
     if func is bowl_on_a_half_plane:
         assert values.count(math.inf) > 10
 
