@@ -580,19 +580,17 @@ def _max_lag_difference(lear: LearParams, arma: Arma11Params, rng: float) -> flo
 
     That grid has R + 2 points, d_min = 1 and d_max = R + 1. The two share
     sigma2, as the maps keep it, so their matrices differ only off the
-    diagonal, at the lags 1..R + 1. Each lag's entries are computed as
-    core._lear_corr and core._arma11_corr compute them, with a broadcast
-    base for the power, so they have the matrices' bits.
+    diagonal, at the lags 1..R + 1. Each lag's entries come from the
+    functions the matrices' entries come from, so they have their bits.
     """
     import numpy as np
 
+    from .core import _arma11_power, _lear_power
+
     d_min, d_max = 1.0, rng + 1.0
     lag = np.arange(d_min, d_max + 1.0)
-    exponent = d_min + lear.delta * (lag - d_min) / (d_max - d_min)
-    lear_corr = np.power(np.asarray(lear.rho_l, dtype=float)[None], exponent)
-    arma_corr = arma.tau * np.power(
-        np.asarray(arma.rho_a, dtype=float)[None], lag - 1.0
-    )
+    lear_corr = _lear_power(lear.rho_l, lear.delta, lag, d_min, d_max)
+    arma_corr = _arma11_power(arma.tau, arma.rho_a, lag)
     return float(np.max(np.abs(lear.sigma2 * lear_corr - arma.sigma2 * arma_corr)))
 
 

@@ -295,6 +295,19 @@ def validate_arma11_values(sigma2: float, tau: float, rho_a: float) -> list[str]
     return violations
 
 
+def _coerce(params, validate) -> None:
+    """Make each field of frozen ``params`` a float, then raise InvalidParams
+    naming every violation ``validate`` finds."""
+    for name in params.__dataclass_fields__:
+        try:
+            object.__setattr__(params, name, float(getattr(params, name)))
+        except (TypeError, ValueError):
+            raise InvalidParams(f"{name} must be a real number") from None
+    violations = validate(*vars(params).values())
+    if violations:
+        raise InvalidParams("; ".join(violations))
+
+
 @dataclass(frozen=True)
 class LearParams:
     """Equal-variance LEAR parameters (sigma2, rho_l, delta).
@@ -308,14 +321,7 @@ class LearParams:
     delta: float
 
     def __post_init__(self) -> None:
-        for name in ("sigma2", "rho_l", "delta"):
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError):
-                raise InvalidParams(f"{name} must be a real number") from None
-        violations = validate_lear_values(self.sigma2, self.rho_l, self.delta)
-        if violations:
-            raise InvalidParams("; ".join(violations))
+        _coerce(self, validate_lear_values)
 
 
 @dataclass(frozen=True)
@@ -331,14 +337,7 @@ class Arma11Params:
     rho_a: float
 
     def __post_init__(self) -> None:
-        for name in ("sigma2", "tau", "rho_a"):
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError):
-                raise InvalidParams(f"{name} must be a real number") from None
-        violations = validate_arma11_values(self.sigma2, self.tau, self.rho_a)
-        if violations:
-            raise InvalidParams("; ".join(violations))
+        _coerce(self, validate_arma11_values)
 
     @property
     def in_lear_image(self) -> bool:
@@ -362,6 +361,17 @@ def _lear_corr(
     # Diagonal distances are patched to d_min so the exponent stays benign
     # there; the diagonal is overwritten with 1 afterwards.
     d[..., diag, diag] = d_min
+    corr = _lear_power(rho_l, delta, d, d_min, d_max)
+    corr[..., diag, diag] = 1.0
+    return corr
+
+
+def _lear_power(rho_l, delta, d: np.ndarray, d_min: float, d_max: float):
+    """The LEAR correlation at each distance (at least d_min) of array ``d``.
+
+    ``rho_l`` and ``delta`` are numbers, or K-vectors of parameter points
+    that add a leading axis: shape (K, *d.shape).
+    """
     point = (...,) + (None,) * d.ndim
     delta = np.asarray(delta, dtype=float)[point]
     if d_max > d_min:
@@ -369,13 +379,11 @@ def _lear_corr(
     else:
         # Zero range: every distance equals d_min and delta has no effect.
         exponent = np.full(np.broadcast_shapes(delta.shape, d.shape), d_min)
-    # Every exponent is at least d_min > 0, so rho_l = 0 gives 0 off the
-    # diagonal. Each point's rho_l is broadcast, not copied, so power reads
-    # its base with stride 0 as for a single number: a contiguous base may
-    # take another SIMD loop, whose last bits can differ.
-    corr = np.power(np.asarray(rho_l, dtype=float)[point], exponent)
-    corr[..., diag, diag] = 1.0
-    return corr
+    # Every exponent is at least d_min > 0, so rho_l = 0 gives 0. Each
+    # point's rho_l is broadcast, not copied, so power reads its base with
+    # stride 0 as for a single number: a contiguous base may take another
+    # SIMD loop, whose last bits can differ.
+    return np.power(np.asarray(rho_l, dtype=float)[point], exponent)
 
 
 def _arma11_corr(tau, rho_a, p: int) -> np.ndarray:
@@ -386,14 +394,21 @@ def _arma11_corr(tau, rho_a, p: int) -> np.ndarray:
     """
     lag = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     np.fill_diagonal(lag, 1)
-    tau = np.asarray(tau, dtype=float)[..., None, None]
-    rho_a = np.asarray(rho_a, dtype=float)[..., None, None]
-    # Integer exponents keep negative rho_a well defined. They are passed as
-    # floats, so no cast buffers (and copies) the broadcast base.
-    corr = tau * np.power(rho_a, (lag - 1).astype(float))
+    corr = _arma11_power(tau, rho_a, lag)
     diag = np.arange(p)
     corr[..., diag, diag] = 1.0
     return corr
+
+
+def _arma11_power(tau, rho_a, lag: np.ndarray) -> np.ndarray:
+    """tau * rho_a ** (lag - 1) at each lag (at least 1) of array ``lag``,
+    with parameter points as in _lear_power."""
+    point = (...,) + (None,) * lag.ndim
+    tau = np.asarray(tau, dtype=float)[point]
+    rho_a = np.asarray(rho_a, dtype=float)[point]
+    # Whole exponents keep negative rho_a well defined. They are passed as
+    # floats, so no cast buffers (and copies) the broadcast base.
+    return tau * np.power(rho_a, (lag - 1).astype(float))
 
 
 def _is_integer(value) -> bool:

@@ -7,36 +7,24 @@ as design covariates. Subjects keep their order of first appearance and
 rows are sorted by time within subject, so a shuffled file ingests to the
 same dataset.
 
-After the header, which csv.reader reads, numpy's C reader (np.loadtxt)
-parses the rows straight into the dataset's columns. It splits fields as
-csv.reader does and parses numbers as float() does, and it refuses the
-files where it could differ. A file it refuses is walked again from its
-first data row by csv.reader, one row at a time, which reads it or raises
-the error of its first bad row. A stream that cannot seek, such as a
-pipe, is read into memory first, so it takes the same two paths. The
-opening, the header read and the row walk are learcov.plain's, which
-imports no numpy, and which the reads import when they run:
-check-special-case reads a small file with them alone, and this module,
-which imports numpy, only for a larger one.
+The read itself, from opening the file to the sorted columns, is
+learcov.plain's, shared with check-special-case; this module builds the
+dataset of the columns. A file is written a block of rows (_WRITE_BLOCK)
+at a time, each block formatted by one % call. Each distinct time is
+formatted once and each subject id quoted once; only y is formatted per
+row.
 
-A file is written a block of rows (_WRITE_BLOCK) at a time, each block
-formatted by one % call. Each distinct time is formatted once and each
-subject id quoted once; only y is formatted per row.
-
-The dataset type and the design rules come from learcov.model, which
-read_long_csv imports when it is called, as load_sim_spec imports sim for
-SimSpec and json for the spec: reading and writing CSV loads neither the
-estimation nor the simulation module nor json, reading only columns
-(_read_sorted) not the model, and writing neither the model nor
-learcov.plain.
+learcov.model, which defines the dataset type and the design rules, and
+learcov.plain are imported by read_long_csv when it is called, as
+load_sim_spec imports sim for SimSpec and json for the spec: reading and
+writing CSV loads neither the estimation nor the simulation module nor
+json, and writing neither the model nor learcov.plain.
 """
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import re
-import warnings
 from collections import Counter
 from dataclasses import asdict, fields
 from typing import TYPE_CHECKING
@@ -62,11 +50,6 @@ SIM_SPEC_SCHEMA_VERSION = 1
 
 # Characters that can make csv.writer quote a field.
 _NEEDS_WRITER = re.compile('[,"\r\n]')
-# ASCII separators: numpy's number parser strips them as white space,
-# float() does not.
-_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
-# Characters of lines handed to numpy's reader at a time.
-_READ_BLOCK = 1 << 16
 
 
 def _design_columns(design) -> tuple[str | None, list[str]]:
@@ -112,115 +95,18 @@ def read_long_csv(
         DegenerateGrid: fewer than two measurements in the whole file.
     """
     from .model import RepeatedMeasuresData, rule_design
+    from .plain import _open_csv, _sorted_columns
 
     rule, covariate_cols = _design_columns(design)
     names = [subject_col, time_col, y_col, *covariate_cols]
-    values, offsets = _read_sorted(path, names)
+    with _open_csv(path) as (fh, _):
+        values, offsets = _sorted_columns(fh, names)
     t = values[0]
     if covariate_cols:
         X = np.ascontiguousarray(values[2:].T)
     else:
         X = rule_design(rule, t)
     return RepeatedMeasuresData._from_columns(t, values[1], X, offsets)
-
-
-def _read_sorted(path, names):
-    """The columns ``names`` of the CSV at ``path``, rows sorted by subject.
-
-    ``names`` starts with the subject column; the rest are parsed as
-    numbers, and the first of them is the time. Returns the numeric columns
-    as one (columns, rows) array, in ``names`` order and sorted as
-    read_long_csv orders rows, and each subject's row offsets into it.
-    Raises what read_long_csv raises for these columns: columns the file
-    has but ``names`` leaves out are not parsed.
-    """
-    from .plain import _open_csv
-
-    with _open_csv(path) as (fh, _):
-        return _sorted_columns(fh, names)
-
-
-def _sorted_columns(fh, names):
-    """_read_sorted of the CSV open as ``fh``, a text stream at its start
-    that can seek (see plain._open_csv).
-
-    A file numpy's reader refuses is walked from its first data row, which
-    raises the error of the first bad row in file order (see
-    plain._walk_rows); a row the csv module cannot read is ParseError.
-    """
-    from .plain import _read_header, _two_or_more, _walk_rows
-
-    _, positions = _read_header(fh, names)
-    parsed = _load_columns(fh, positions)
-    if parsed is None:
-        fh.seek(0)
-        reader, _ = _read_header(fh, names)
-        try:
-            sids, values = _walk_rows(reader, names, positions)
-        except csv.Error as exc:
-            raise ParseError(f"row {exc.row}: {exc}") from None
-        parsed = _sort_columns(sids, np.array(values))
-    values, rank = parsed
-    _two_or_more(len(rank))
-    return values, np.concatenate(([0], np.cumsum(np.bincount(rank))))
-
-
-def _load_columns(fh, positions):
-    """The rows after the header, read by numpy's C reader, or None.
-
-    Fields are split as csv.reader splits them and numbers parsed with the
-    routine behind float(), so what this read accepts it reads to the same
-    bits. It refuses more: numbers that only float() takes (such as 1_0 or
-    non-ASCII digits), rows too short for ``positions``, and every block of
-    lines holding a character from \\x1c to \\x1f, which numpy strips from
-    around a number and float() does not. It also returns None for the
-    faults _sort_columns finds and for a file without data rows, so that
-    the row walk reports them.
-    """
-    def checked(lines):
-        text = "".join(lines)
-        if any(c in text for c in _NOT_FLOAT_SPACE):
-            raise ValueError("a number may be framed by an ASCII separator")
-        return lines
-
-    blocks = iter(lambda: fh.readlines(_READ_BLOCK), [])
-    dtype = np.dtype([(f"f{i}", object if i == 0 else float)
-                      for i in range(len(positions))])
-    try:
-        # loadtxt warns of a file with no data rows; the row walk refuses it.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(
-                itertools.chain.from_iterable(map(checked, blocks)),
-                dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                usecols=positions, ndmin=1,
-            )
-    except ValueError:
-        return None
-    if not table.size:
-        return None
-    values = np.array([table[name] for name in dtype.names[1:]])
-    return _sort_columns(table["f0"].tolist(), values)
-
-
-def _sort_columns(sids, values):
-    """Rows sorted by subject, then time.
-
-    ``sids`` holds each row's subject id and ``values`` the numeric columns
-    as one (columns, rows) array. Returns them sorted, with each row's
-    subject rank in order of first appearance, or None when a number is not
-    finite or a (subject, time) pair repeats.
-    """
-    if not np.isfinite(values).all():
-        return None
-    rank_of = {sid: r for r, sid in enumerate(dict.fromkeys(sids))}
-    rank = np.fromiter(map(rank_of.__getitem__, sids), np.intp, len(sids))
-    order = np.lexsort((values[0], rank))
-    values, rank = values[:, order], rank[order]
-    t = values[0]
-    if ((t[1:] == t[:-1]) & (rank[1:] == rank[:-1])).any():
-        return None
-    return values, rank
 
 
 def write_long_csv(path, data: RepeatedMeasuresData, subject_ids=None) -> None:

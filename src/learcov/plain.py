@@ -1,19 +1,22 @@
-"""The special-case verdict, and the parts of reading a CSV that need no numpy.
+"""Reading a long-format CSV, and the special-case verdict without numpy.
 
-``check-special-case`` answers a file smaller than _SMALL_FILE with this
-module alone: csv.reader reads the header and the rows, a block of rows at
-a time; each subject's times are sorted in Python, and the distinct time
-patterns are judged by a port of reparam._special_case on Python floats.
-A file with a bad row is walked again one row at a time (the walk dataio
-falls back on when numpy's reader refuses a file), which names the first.
-A larger file, or one the csv module cannot read, goes to numpy's reader
-and reparam._special_case, as every library caller does.
+Every read of a CSV is this module's. _sorted_columns, behind
+dataio.read_long_csv, reads the header with csv.reader and the rows with
+numpy's C reader (np.loadtxt), which splits fields as csv.reader does,
+parses numbers as float() does and refuses the files where it could
+differ. A refused file is walked again one row at a time by csv.reader,
+which reads it or raises the error of its first bad row. A stream that
+cannot seek, such as a pipe, is read into memory first. numpy is imported
+by the functions that use it, when they run, and dataclasses never.
 
-Either judge's verdict is the five flags of reparam.SpecialCaseReport, a
-tuple in the order of FLAGS; check_special_case makes the report of them.
-This module imports neither numpy nor dataclasses, so a check of a small
-file loads neither. reparam imports it for the tolerance, and dataio for
-the header read and the row walk.
+``check-special-case`` answers a file smaller than _SMALL_FILE without
+numpy: csv.reader reads the rows a block at a time, each subject's times
+are sorted in Python, and the distinct time patterns are judged by a port
+of reparam._special_case on Python floats; a file with a bad row is
+walked, which names the first. A larger file, or one the csv module cannot
+read, goes to numpy's reader and reparam._special_case, as every library
+caller does. Either judge's verdict is the five flags of
+reparam.SpecialCaseReport, a tuple in the order of FLAGS.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ import io
 import itertools
 import math
 import os
+import warnings
 from operator import itemgetter
 
 from .errors import DegenerateGrid, DuplicateMeasurement, ParseError
@@ -190,13 +194,109 @@ def _two_or_more(rows: int) -> None:
         )
 
 
+# ASCII separators: numpy's number parser strips them as white space,
+# float() does not.
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+# Characters of lines handed to numpy's reader at a time.
+_READ_BLOCK = 1 << 16
+
+
+def _sorted_columns(fh, names):
+    """The columns ``names`` of the CSV open as ``fh`` (see _open_csv), rows
+    sorted as read_long_csv sorts them, and each subject's row offsets.
+
+    ``names`` starts with the subject column; the rest, the time first, are
+    returned as one (columns, rows) array of numbers. Raises what
+    read_long_csv raises for these columns; columns left out are not
+    parsed. A file numpy's reader refuses is walked from its first data row
+    (see _walk_rows); a row the csv module cannot read is ParseError.
+    """
+    import numpy as np
+
+    _, positions = _read_header(fh, names)
+    parsed = _load_columns(fh, positions)
+    if parsed is None:
+        fh.seek(0)
+        reader, _ = _read_header(fh, names)
+        try:
+            sids, values = _walk_rows(reader, names, positions)
+        except csv.Error as exc:
+            raise ParseError(f"row {exc.row}: {exc}") from None
+        parsed = _sort_columns(sids, np.array(values))
+    values, rank = parsed
+    _two_or_more(len(rank))
+    return values, np.concatenate(([0], np.cumsum(np.bincount(rank))))
+
+
+def _load_columns(fh, positions):
+    """The rows after the header, read by numpy's C reader, or None.
+
+    Fields are split as csv.reader splits them and numbers parsed with the
+    routine behind float(), so what this read accepts it reads to the same
+    bits. It refuses more: numbers that only float() takes (such as 1_0 or
+    non-ASCII digits), rows too short for ``positions``, and every block of
+    lines holding a character from \\x1c to \\x1f, which numpy strips from
+    around a number and float() does not. It also returns None for the
+    faults _sort_columns finds and for a file without data rows, so that
+    the row walk reports them.
+    """
+    import numpy as np
+
+    def checked(lines):
+        text = "".join(lines)
+        if any(c in text for c in _NOT_FLOAT_SPACE):
+            raise ValueError("a number may be framed by an ASCII separator")
+        return lines
+
+    blocks = iter(lambda: fh.readlines(_READ_BLOCK), [])
+    dtype = np.dtype([(f"f{i}", object if i == 0 else float)
+                      for i in range(len(positions))])
+    try:
+        # loadtxt warns of a file with no data rows; the row walk refuses it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(
+                itertools.chain.from_iterable(map(checked, blocks)),
+                dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                usecols=positions, ndmin=1,
+            )
+    except ValueError:
+        return None
+    if not table.size:
+        return None
+    values = np.array([table[name] for name in dtype.names[1:]])
+    return _sort_columns(table["f0"].tolist(), values)
+
+
+def _sort_columns(sids, values):
+    """Rows sorted by subject, then time.
+
+    ``sids`` holds each row's subject id and ``values`` the numeric columns
+    as one (columns, rows) array. Returns them sorted, with each row's
+    subject rank in order of first appearance, or None when a number is not
+    finite or a (subject, time) pair repeats.
+    """
+    import numpy as np
+
+    if not np.isfinite(values).all():
+        return None
+    rank_of = {sid: r for r, sid in enumerate(dict.fromkeys(sids))}
+    rank = np.fromiter(map(rank_of.__getitem__, sids), np.intp, len(sids))
+    order = np.lexsort((values[0], rank))
+    values, rank = values[:, order], rank[order]
+    t = values[0]
+    if ((t[1:] == t[:-1]) & (rank[1:] == rank[:-1])).any():
+        return None
+    return values, rank
+
+
 def _check_csv(path, names) -> tuple:
     """The special-case flags of the times in the CSV at ``path``.
 
     ``names`` are the subject and time columns. A file smaller than
     _SMALL_FILE is read by csv.reader and judged in Python; a larger one, or
     one with a row the csv module cannot read (numpy's reader has no field
-    size limit), is read by dataio's numpy reader and judged by
+    size limit), is read by numpy's reader and judged by
     reparam._special_case. Both give the verdict and the errors of
     ``reparam.check_special_case`` on the grid of ``read_long_csv``.
     """
@@ -207,7 +307,6 @@ def _check_csv(path, names) -> tuple:
             except csv.Error:
                 fh.seek(0)
         from .core import _Patterns
-        from .dataio import _sorted_columns
         from .reparam import _special_case as judge
 
         values, offsets = _sorted_columns(fh, names)

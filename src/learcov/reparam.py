@@ -18,7 +18,9 @@ with common gap h is first normalized, which rescales distances by 1/h; the
 returned parameters describe correlations at integer lags on that normalized
 grid. Fitted values on differently scaled grids are therefore not directly
 comparable; use :func:`correlation_at_distance` to read off correlations on
-the original scale instead of comparing raw parameters.
+the original scale instead of comparing raw parameters. On a grid of the
+original times it equals the entry of ``lear_correlation`` at that
+distance bit for bit.
 """
 from __future__ import annotations
 
@@ -32,8 +34,10 @@ from .core import (
     Arma11Params,
     LearParams,
     MeasurementGrid,
+    _lear_power,
     _Patterns,
     _pooled_grid,
+    validate_lear_values,
     validated_times,
 )
 from .errors import (
@@ -183,22 +187,21 @@ def _canonical_range(grid: MeasurementGrid) -> float:
     return d_max - d_min
 
 
+def _check_range(d_range: float) -> None:
+    """DegenerateRange unless the range both maps divide by is usable."""
+    if not (math.isfinite(d_range) and d_range > 0.0):
+        raise DegenerateRange(
+            f"distance range must be finite and positive (got {d_range!r})")
+
+
 def map_lear_to_arma11(rho_l: float, delta: float, d_range: float) -> tuple[float, float]:
     """Forward map on raw values: (rho_l, delta) to (tau, rho_a).
 
-    ``d_range`` is d_max - d_min in spacing units, finite and positive.
+    ``d_range`` is d_max - d_min in spacing units, finite and positive;
+    ``rho_l`` and ``delta`` are held to the constraints of LearParams.
     """
-    if not (math.isfinite(d_range) and d_range > 0.0):
-        raise DegenerateRange(
-            f"distance range must be finite and positive (got {d_range!r}); "
-            "delta_d = delta / range is undefined"
-        )
-    violations = [
-        v for v in (
-            None if 0.0 <= rho_l < 1.0 else f"rho_l out of [0, 1) (got {rho_l!r})",
-            None if delta >= 0.0 else f"delta negative (got {delta!r})",
-        ) if v
-    ]
+    _check_range(d_range)
+    violations = validate_lear_values(1.0, rho_l, delta)  # names no sigma2
     if violations:
         raise InvalidParams("; ".join(violations))
     if rho_l == 0.0:
@@ -214,10 +217,7 @@ def map_lear_to_arma11(rho_l: float, delta: float, d_range: float) -> tuple[floa
 
 def map_arma11_to_lear(tau: float, rho_a: float, d_range: float) -> tuple[float, float]:
     """Inverse map on raw values: (tau, rho_a) to (rho_l, delta)."""
-    if not (math.isfinite(d_range) and d_range > 0.0):
-        raise DegenerateRange(
-            f"distance range must be finite and positive (got {d_range!r})"
-        )
+    _check_range(d_range)
     if tau == 0.0:
         raise Unidentifiable(
             "tau = 0 gives the identity correlation; rho_l is 0 but delta "
@@ -268,6 +268,7 @@ def correlation_at_distance(
             f"distance {distance!r} is below the minimum distance "
             f"{grid.d_min * h!r} on the original scale"
         )
-    r = grid.d_max - grid.d_min
-    fraction = (d - grid.d_min) / r if r > 0 else 0.0
-    return params.rho_l ** (grid.d_min + params.delta * fraction)
+    # lear_correlation's formula and overflow rule: rho_l ** inf is 0.
+    with np.errstate(over="ignore"):
+        return float(_lear_power(params.rho_l, params.delta, np.array([d]),
+                                 grid.d_min, grid.d_max)[0])

@@ -38,6 +38,7 @@ import numpy as np
 from .core import (
     Arma11Params,
     LearParams,
+    _is_integer,
     arma11_covariance,
     build_grid,
     cholesky_lower,
@@ -201,7 +202,7 @@ def _normals(seed: int, subjects: np.ndarray, n: int) -> np.ndarray:
 
 def _key_word(value, name: str) -> int:
     """``value`` as one 64-bit word of a Philox key."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if not _is_integer(value):
         raise InvalidParams(f"{name} must be an integer")
     if not 0 <= int(value) < 2 ** 64:
         raise InvalidParams(f"{name} must lie in [0, 2**64)")
@@ -217,7 +218,7 @@ def standard_normals(seed: int, subject_index: int, n: int) -> np.ndarray:
     """
     seed = _key_word(seed, "seed")
     subject = _key_word(subject_index, "subject_index")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise InvalidSize(f"n must be a non-negative integer (got {n!r})")
     return _normals(seed, np.array([subject], dtype=np.uint64), int(n))[0]
 
@@ -244,9 +245,7 @@ class SimSpec:
     design: str | tuple = "intercept"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_subjects, (int, np.integer)) or isinstance(
-            self.n_subjects, bool
-        ):
+        if not _is_integer(self.n_subjects):
             raise InvalidSize("n_subjects must be an integer")
         if not 1 <= self.n_subjects <= 10 ** 6:
             raise InvalidSize(

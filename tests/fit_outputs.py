@@ -1,23 +1,30 @@
-"""Pinned outputs of ``learcov fit`` and ``learcov compare`` on small inputs.
+"""Pinned outputs of every ``learcov`` command on small inputs.
 
 The inputs are built here with numpy only (seeded ``default_rng``, Cholesky
 factors of AR(1) or MA(1) correlations): a unit grid, jittered times, mixed
-pattern lengths on a unit grid, and data whose fits end on a box edge.
+pattern lengths on a unit grid, and data whose fits end on a box edge, for
+``fit`` and ``compare``; one small file written in each form that takes its
+own route through the CSV read, for ``check-special-case`` and ``fit``; and
+two simulation specs with time templates of mixed lengths. ``build-matrix``
+and ``reparam`` take their inputs as flags.
+
 ``fit_outputs.json`` holds, for each case, its arguments, exit status,
-stdout and stderr as ``cli.main`` gave them in process, the sha256 of each
-input CSV, and the platform they were recorded on: numpy, BLAS, libc (whose
-libm rounds the ``math`` calls) and machine.
+stdout and stderr as ``cli.main`` gave them in process, and the sha256 of
+the CSV a ``simulate`` case writes; the sha256 of each input; and the
+platform they were recorded on: numpy, BLAS, libc (whose libm rounds the
+``math`` calls) and machine.
 
 ``tests/test_fit_outputs.py`` replays every case. On the recorded platform
 it asserts the same bytes. On any other platform it compares the parsed
-JSON, floats at ``REL_TOL``/``ABS_TOL`` and everything else exactly, and
-warns that it did so.
+output, floats at ``REL_TOL``/``ABS_TOL`` and everything else exactly,
+leaves out the written CSV's digest, and warns that it did so.
 
 A change that alters an output on purpose rewrites the file with
 
     PYTHONPATH=src python3 tests/fit_outputs.py --record
 
-and names each changed case where the change is described.
+which prints each case whose pinned output changed, to be named where the
+change is described.
 """
 from __future__ import annotations
 
@@ -83,7 +90,58 @@ def _inputs() -> dict:
     rng = np.random.default_rng(14)
     out["boundary.csv"] = _csv((i, t, 0.5 + _ma1(rng, t, -0.5), float(i % 2))
                                for i in range(80))
-    return out
+    return {**out, **_read_routes(), **_specs()}
+
+
+def _read_routes() -> dict:
+    """Name -> text of one small file in each form that takes its own route
+    through the CSV read (see learcov.plain)."""
+    rng = np.random.default_rng(15)
+    t = np.arange(1.0, 5.0)
+    rows = [[f"s{i}", repr(a), repr(b), ""] for i in range(12)
+            for a, b in zip(t.tolist(), (1.0 + _ar1(rng, t, 0.5)).tolist())]
+
+    def text(rows, end="\n"):
+        return end.join(["subject,time,y,note", *map(",".join, rows)]) + end
+
+    def edited(at, column, value):
+        return [row if k != at else [*row[:column], value, *row[column + 1:]]
+                for k, row in enumerate(rows)]
+
+    # The last subject at 7, 8, 9 and 1_0, which float() reads as 10 and
+    # numpy's reader refuses.
+    last = [[*row[:1], repr(7.0 + k), *row[2:]] for k, row in enumerate(rows[-4:])]
+    last[-1][1] = "1_0"
+    # A (subject, time) pair repeated in row 8, before a bad number in row 11.
+    repeated = rows[:6] + [rows[1]] + edited(8, 2, "0.5x")[6:]
+    return {
+        "crlf.csv": text(rows, "\r\n"),
+        "bom.csv": "\ufeff" + text(rows),
+        "quoted_newline.csv": text([['"s0\nfirst"', *row[1:]] if row[0] == "s0"
+                                    else row for row in rows]),
+        "underscore.csv": text(rows[:-4] + last),
+        # A note over the csv module's field size limit (131072 characters).
+        "long_field.csv": text(edited(5, 3, "x" * 200_000)),
+        "repeat_then_bad.csv": text(repeated),
+    }
+
+
+READ_ROUTES = tuple(_read_routes())
+
+
+def _specs() -> dict:
+    """Name -> text of the simulation specs, each with time templates of
+    mixed lengths."""
+    lear = {"schema_version": 1, "n_subjects": 25,
+            "times": [[0, 0.5, 1.5, 3], [0, 1, 2], [0.25, 2.0]],
+            "beta": [1.0, 0.5], "design": "intercept-time", "seed": 2024,
+            "covariance": {"parameterization": "lear", "sigma2": 1.5,
+                           "rho_l": 0.6, "delta": 2.5}}
+    arma = {"schema_version": 1, "n_subjects": 20,
+            "times": [[1, 2, 3, 4, 5], [1, 2, 3]], "beta": [2.0], "seed": 7,
+            "covariance": {"parameterization": "arma11", "sigma2": 1.0,
+                           "tau": 0.5, "rho_a": 0.8}}
+    return {"lear_spec.json": json.dumps(lear), "arma11_spec.json": json.dumps(arma)}
 
 
 def _cases() -> list:
@@ -109,7 +167,31 @@ def _cases() -> list:
         ["fit", "--input", "unit.csv", "--max-iterations", "5"],
         ["compare", "--input", "mixed.csv", "--max-iterations", "3"],
         ["fit", "--input", "unit.csv", "--grid-points", "5", "--tolerance", "1e-4"],
+        *(["check-special-case", "--input", name] for name in
+          ("unit.csv", "jittered.csv", "mixed.csv", "boundary.csv", *READ_ROUTES)),
+        *(["fit", "--input", name] for name in READ_ROUTES),
+        *(["simulate", "--spec", f"{kind}_spec.json", "--out", f"{kind}_sim.csv"]
+          for kind in ("lear", "arma11")),
+        *(["build-matrix", "--times", times, "--sigma2", "2", "--rho-l", "0.6",
+           "--delta", "1.5", "--format", fmt]
+          for times in ("0,0.5,2,3.25", "1,2") for fmt in ("json", "text")),
+        *(["reparam", "--direction", "lear2arma", "--sigma2", "2", "--rho-l", "0.6",
+           "--delta", "2.5", *grid] for grid in _REPARAM_GRIDS),
+        *(["reparam", "--direction", "arma2lear", "--sigma2", "2", "--tau", "0.6",
+           "--rho-a", "0.7", *grid] for grid in _REPARAM_GRIDS),
+        ["reparam", "--direction", "lear2arma", "--rho-l", "0", "--delta", "1",
+         "--range", "2"],
     ]
+
+
+# The grids reparam is given: a range, with and without --verify at R = 1, 7
+# and 100000, and times that normalize to range 3, with and without it.
+_REPARAM_GRIDS = (
+    ["--range", "3"],
+    *(["--range", r, "--verify"] for r in ("1", "7", "100000")),
+    ["--times", "0,2,4,6,8"],
+    ["--times", "0,2,4,6,8", "--verify"],
+)
 
 
 INPUTS = _inputs()
@@ -138,8 +220,21 @@ def write_inputs(directory: Path) -> dict:
 
 
 def run_case(args) -> dict:
-    """``learcov args`` in this process, as the pin file holds its outcome."""
-    return dict(zip(("exit", "stdout", "stderr"), run_cli(args)))
+    """``learcov args`` in this process, as the pin file holds its outcome:
+    with the sha256 of the CSV that a ``simulate`` case writes."""
+    outcome = dict(zip(("exit", "stdout", "stderr"), run_cli(args)))
+    if args[0] == "simulate":
+        out = Path(args[args.index("--out") + 1])
+        outcome["out_sha256"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return outcome
+
+
+def parsed(stdout: str):
+    """A command's stdout as data: JSON, or build-matrix's rows of numbers."""
+    try:
+        return json.loads(stdout)
+    except ValueError:
+        return [list(map(float, line.split())) for line in stdout.splitlines()]
 
 
 def mismatches(got, want, path="") -> list:
@@ -157,7 +252,8 @@ def mismatches(got, want, path="") -> list:
 
 
 def record() -> None:
-    """Run every case in a fresh directory and rewrite PIN_FILE."""
+    """Run every case in a fresh directory, rewrite PIN_FILE and print each
+    case whose pinned outcome changed or is new."""
     with tempfile.TemporaryDirectory() as tmp:
         digests = write_inputs(Path(tmp))
         here = os.getcwd()
@@ -166,6 +262,16 @@ def record() -> None:
             cases = [{"args": args, **run_case(args)} for args in CASES]
         finally:
             os.chdir(here)
+    old = {}
+    if PIN_FILE.exists():
+        pinned = json.loads(PIN_FILE.read_text(encoding="utf-8"))
+        old = {tuple(case["args"]): case for case in pinned["cases"]}
+    changed = [case for case in cases if old.get(tuple(case["args"])) != case]
+    for case in changed:
+        state = "changed" if tuple(case["args"]) in old else "new"
+        print(f"{state}: {' '.join(case['args'])}")
+    if not changed:
+        print("no pinned output changed")
     pins = {"platform": platform_info(), "inputs": digests, "cases": cases}
     PIN_FILE.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {PIN_FILE}")

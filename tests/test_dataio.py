@@ -384,7 +384,8 @@ def test_the_times_read_alone_as_in_the_full_read(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     try:
-        values, offsets = dataio._read_sorted(path, ["subject", "time"])
+        with plain._open_csv(path) as (fh, _):
+            values, offsets = plain._sorted_columns(fh, ["subject", "time"])
         narrowed = values[0].tobytes(), offsets.tobytes()
     except lc.LearcovError as exc:
         narrowed = type(exc), str(exc)
@@ -509,7 +510,7 @@ def test_the_fast_read_takes_what_it_reads_as_the_csv_path_does(tmp_path, text, 
     path = write(tmp_path, "subject,time,y\n" + text)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         next(csv.reader(fh))
-        loaded = dataio._load_columns(fh, [0, 1, 2])
+        loaded = plain._load_columns(fh, [0, 1, 2])
     assert (loaded is not None) == fast
     assert read_outcome(lc.read_long_csv, path, "intercept") == read_outcome(
         per_row_read_long_csv, path, "intercept"

@@ -5,7 +5,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
@@ -850,6 +850,25 @@ def test_each_subject_twice_doubles_the_ml_loglik(seed, kind, q):
     assert got.sigma2_hat == pytest.approx(base.sigma2_hat, rel=1e-13)
 
 
+# Moving or scaling the times changes the results only by rounding, which
+# the correlation matrices amplify by up to their condition number kappa.
+# The two tests below allow a relative error of CONDITION_FACTOR * kappa *
+# eps, kappa the largest 2-norm condition number of the case's matrices at
+# theta. Over 6501 draws (5001 at random and 1500 at the bounds of k and of
+# the shift, both criteria each) the largest error / (kappa eps) was 2.40,
+# for sigma2 of scaled times (seed 328, irregular, k = 0.1, kappa 261); for
+# the log-likelihood it was 1.48 with scaled and 1.63 with shifted times.
+CONDITION_FACTOR = 8.0
+
+
+def conditioned_rel_tol(data, rho_l, delta) -> float:
+    """CONDITION_FACTOR * kappa * eps of the case ``data`` at (rho_l, delta)."""
+    theta = lc.LearParams(1.0, rho_l, delta)
+    kappa = max(np.linalg.cond(lc.lear_correlation(theta, data.grid, i), 2)
+                for i in range(data.n_subjects))
+    return CONDITION_FACTOR * kappa * np.finfo(float).eps
+
+
 @settings(max_examples=100, deadline=None)
 @given(shift=st.floats(-16.0, 16.0), seed=METAMORPHIC["seed"], kind=METAMORPHIC["kind"])
 def test_shifted_times_leave_the_intercept_loglik(seed, kind, shift):
@@ -857,30 +876,31 @@ def test_shifted_times_leave_the_intercept_loglik(seed, kind, shift):
     # their rounding does.
     data, theta = metamorphic_case(seed, kind, 1)
     moved = rebuilt(data, times=lambda t: t + shift)
+    rel = conditioned_rel_tol(data, *theta)
     for criterion in ("ml", "reml"):
         base = lc.profile_estimates(data, theta, criterion).loglik
         got = lc.profile_estimates(moved, theta, criterion).loglik
-        assert got == pytest.approx(base, rel=1e-11)
+        assert got == pytest.approx(base, rel=rel)
 
 
 @settings(max_examples=100, deadline=None)
 @given(k=st.floats(0.05, 20.0), seed=METAMORPHIC["seed"], kind=METAMORPHIC["kind"])
+# Two visits 1.9e-5 apart give kappa 9.5e4; sigma2 moves by 1.81e-11.
+@example(seed=185514, kind="irregular", k=3.0)
 def test_scaled_times_at_mapped_parameters_leave_the_intercept_loglik(seed, kind, k):
     # t -> k t multiplies every distance, d_min and R by k, which turns the
     # exponent d_min + delta (d - d_min) / R into k d_min + delta (d - d_min)
     # / R; at (rho_l^(1/k), k delta) each correlation is the original one.
     # Only rounding moves the results, that of k t and of rho_l^(1/k), most
-    # on the irregular grids whose close visits make G ill-conditioned. Over
-    # 4500 draws the log-likelihood moved by at most 4.6e-13 of itself and
-    # sigma2 by 2.0e-12 (seed 588, irregular, k = 17); the tolerance is the
-    # shift's, 1e-11.
+    # on the irregular grids whose close visits make G ill-conditioned.
     data, (rho_l, delta) = metamorphic_case(seed, kind, 1)
     scaled = rebuilt(data, times=lambda t: k * t)
+    rel = conditioned_rel_tol(data, rho_l, delta)
     for criterion in ("ml", "reml"):
         base = lc.profile_estimates(data, (rho_l, delta), criterion)
         got = lc.profile_estimates(scaled, (rho_l ** (1.0 / k), k * delta), criterion)
-        assert got.loglik == pytest.approx(base.loglik, rel=1e-11)
-        assert got.sigma2_hat == pytest.approx(base.sigma2_hat, rel=1e-11)
+        assert got.loglik == pytest.approx(base.loglik, rel=rel)
+        assert got.sigma2_hat == pytest.approx(base.sigma2_hat, rel=rel)
 
 
 # --------------------------------------------------------------------------

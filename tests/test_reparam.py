@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import learcov as lc
@@ -366,6 +366,34 @@ def test_tau_zero_is_unidentifiable():
         lc.map_arma11_to_lear(0.0, 0.5, 2.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True),
+       st.floats(allow_nan=True, allow_infinity=True),
+       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(math.inf, 1.0, 3.0)
+@example(math.nan, 1.0, 3.0)
+@example(-0.25, 1.0, 3.0)
+@example(1.0, 1.0, 3.0)
+@example(0.5, math.inf, 3.0)
+@example(0.5, math.nan, 3.0)
+@example(0.5, -1e-300, 3.0)
+@example(0.0, math.inf, 3.0)
+def test_forward_map_refuses_what_lear_params_refuses(rho_l, delta, d_range):
+    # With the same message; what LearParams takes maps as it always did.
+    try:
+        lc.LearParams(1.0, rho_l, delta)
+    except lc.InvalidParams as refused:
+        with pytest.raises(lc.InvalidParams) as mapped:
+            lc.map_lear_to_arma11(rho_l, delta, d_range)
+        assert str(mapped.value) == str(refused)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", lc.UnidentifiableWarning)
+        got = lc.map_lear_to_arma11(rho_l, delta, d_range)
+    want = (0.0, 0.0) if rho_l == 0.0 else (rho_l, rho_l ** (delta / d_range))
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def test_rho_zero_maps_with_warning():
     with pytest.warns(lc.UnidentifiableWarning):
         assert lc.map_lear_to_arma11(0.0, 2.0, 3.0) == (0.0, 0.0)
@@ -458,6 +486,18 @@ def test_correlation_at_distance_matches_matrix_entries():
         corr = lc.lear_correlation(th, g, 0)
         for d in (1.0, 2.0, 3.0, 4.0):
             assert lc.correlation_at_distance(th, g, d) == corr[0, int(d)]
+    # On a unit grid other operations can happen to round as the matrix's
+    # do; on irregular gaps only the same operations in the same order give
+    # the same bits.
+    rng = np.random.default_rng(2028)
+    for _ in range(1000):
+        t = np.cumsum(np.concatenate(([0.0], rng.uniform(0.1, 3.0, rng.integers(2, 8)))))
+        g = grid_of(t)
+        th = lc.LearParams(1.0, rng.uniform(0.0, 1.0),
+                           rng.uniform(0.0, 5.0 * (g.d_max - g.d_min)))
+        corr = lc.lear_correlation(th, g, 0)
+        for j, k in itertools.combinations(range(t.size), 2):
+            assert lc.correlation_at_distance(th, g, t[k] - t[j]) == corr[j, k]
 
 
 def test_correlation_at_distance_uses_original_scale_after_normalization():
