@@ -10,12 +10,14 @@ cannot seek, such as a pipe, is read into memory first. numpy is imported
 by the functions that use it, when they run, and dataclasses never.
 
 ``check-special-case`` answers a file smaller than _SMALL_FILE without
-numpy: csv.reader reads the rows a block at a time, each subject's times
-are sorted in Python, and the distinct time patterns are judged by a port
-of reparam._special_case on Python floats; a file with a bad row is
-walked, which names the first. A larger file, or one the csv module cannot
-read, goes to numpy's reader and reparam._special_case, as every library
-caller does. Either judge's verdict is the five flags of
+numpy. Text without quotes, NULs or lone CRs, in lines of equal width, is
+split in bulk a block at a time, and other text read by csv.reader; a file
+with a bad row or a repeated (subject, time) is walked, which names the
+first. Subjects are runs of equal ids where each one's rows sit together,
+else found by a dict, and the distinct time patterns are judged by a port
+of reparam._special_case on Python floats. A larger file, or one the csv
+module cannot read, goes to numpy's reader and reparam._special_case, as
+every library caller does. Either judge's verdict is the five flags of
 reparam.SpecialCaseReport, a tuple in the order of FLAGS.
 """
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 import math
 import os
 import warnings
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .errors import DegenerateGrid, DuplicateMeasurement, ParseError
 
@@ -41,12 +43,12 @@ DEFAULT_REL_TOL = 1e-9
 FLAGS = ("equally_spaced", "integer_distances", "dmin_is_one", "spacing", "eligible")
 
 # Size of a file, in bytes (characters for a pipe), from which
-# check-special-case imports numpy and reads it with numpy's reader: where
-# the import costs what the slower read of csv.reader saves. Checking
-# simulated files in a new process, on 2 vCPUs, the csv.reader path was 46
-# ms faster at 2.6 MB, 7 to 20 ms faster at 4.2 to 4.7 MB and 13 ms slower
-# at 5.3 MB.
-_SMALL_FILE = 5_000_000
+# check-special-case imports numpy and reads it with numpy's reader. Checking
+# simulated files in a new process on 2 vCPUs (medians of 11), the bulk
+# split was 136 ms faster than numpy's route at 2.6 MB and 182 ms faster at
+# 10.4 MB, and csv.reader, on the same rows with quoted ids, 52 ms faster at
+# 11.1 MB. csv.reader with per-row dict grouping broke even at 10.4 MB.
+_SMALL_FILE = 10_000_000
 
 
 @contextlib.contextmanager
@@ -175,15 +177,58 @@ def _read_times(reader, positions):
     return (sids, times) if sids else None
 
 
-def _subject_times(sids, times) -> list[list[float]] | None:
-    """Each subject's times, sorted, in order of first appearance, or None
-    when a subject has a time twice."""
-    by_subject: dict[str, list[float]] = {}
-    for sid, t in zip(sids, times):
-        by_subject.setdefault(sid, []).append(t)
-    if sum(map(len, map(set, by_subject.values()))) < len(times):
+# The bytes _split_times drops: all but commas, line ends, quotes and NUL.
+_NOT_SHAPE = bytes(sorted(set(range(256)) - set(b',\n\r"\0')))
+
+
+def _split_times(fh, positions):
+    """The subject ids and times of the rows left in ``fh``, split in bulk a
+    block of lines at a time, or None: for text that csv.reader could split
+    otherwise (a quote, a NUL, a CR outside CRLF, a block over the csv
+    module's field size limit, lines of unequal width or too short for
+    ``positions``) or that is not UTF-8, a time that float() refuses or
+    that is not finite, or no data line."""
+    width = None
+    sids, cells = [], []
+    try:
+        for text in iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), ""):
+            if "\r" in text:
+                text = text.replace("\r\n", "\n")
+            text = text.removesuffix("\n")
+            shape = text.encode().translate(None, _NOT_SHAPE)
+            lines = shape.count(b"\n") + 1
+            width = width or (len(shape) + 1) // lines  # if all lines are alike
+            if (width <= max(positions) or len(text) > csv.field_size_limit()
+                    or shape != b"\n".join([b"," * (width - 1)] * lines)):
+                return None
+            fields = text.replace("\n", ",").split(",")
+            sids += fields[positions[0]::width]
+            cells += fields[positions[1]::width]
+        distinct = set(cells)  # each parsed once
+        parsed = dict(zip(distinct, map(float, distinct)))
+    except ValueError:  # a time float() refuses, or text that is not UTF-8
         return None
-    return [sorted(t) for t in by_subject.values()]
+    if not (cells and all(map(math.isfinite, parsed.values()))):
+        return None
+    return sids, list(map(parsed.__getitem__, cells))
+
+
+def _subject_times(sids, times) -> list[list[float]] | None:
+    """Each distinct list of a subject's times, sorted, in order of first
+    appearance, or None when a subject has a time twice. Subjects are runs
+    of equal ids where each one's rows sit together, else found by a dict."""
+    starts = [0, *itertools.compress(range(1, len(sids)), map(ne, sids[1:], sids))]
+    if len(set(map(sids.__getitem__, starts))) == len(starts):
+        groups = map(times.__getitem__, map(slice, starts, [*starts[1:], None]))
+    else:
+        by_subject: dict[str, list[float]] = {}
+        for sid, t in zip(sids, times):
+            by_subject.setdefault(sid, []).append(t)
+        groups = by_subject.values()
+    patterns = dict.fromkeys(map(tuple, groups))
+    if sum(map(len, map(set, patterns))) < sum(map(len, patterns)):
+        return None
+    return list(map(sorted, patterns))
 
 
 def _two_or_more(rows: int) -> None:
@@ -197,7 +242,7 @@ def _two_or_more(rows: int) -> None:
 # ASCII separators: numpy's number parser strips them as white space,
 # float() does not.
 _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
-# Characters of lines handed to numpy's reader at a time.
+# Characters of lines read at a time by numpy's reader and _split_times.
 _READ_BLOCK = 1 << 16
 
 
@@ -294,10 +339,10 @@ def _check_csv(path, names) -> tuple:
     """The special-case flags of the times in the CSV at ``path``.
 
     ``names`` are the subject and time columns. A file smaller than
-    _SMALL_FILE is read by csv.reader and judged in Python; a larger one, or
-    one with a row the csv module cannot read (numpy's reader has no field
-    size limit), is read by numpy's reader and judged by
-    reparam._special_case. Both give the verdict and the errors of
+    _SMALL_FILE is read without numpy and judged in Python (_check_small);
+    a larger one, or one with a row the csv module cannot read (numpy's
+    reader has no field size limit), is read by numpy's reader and judged
+    by reparam._special_case. Both give the verdict and the errors of
     ``reparam.check_special_case`` on the grid of ``read_long_csv``.
     """
     with _open_csv(path) as (fh, size):
@@ -316,8 +361,12 @@ def _check_csv(path, names) -> tuple:
 
 def _check_small(fh, names) -> tuple:
     """_check_csv of the CSV open as ``fh``, without numpy."""
-    reader, positions = _read_header(fh, names)
-    read = _read_times(reader, positions)
+    _, positions = _read_header(fh, names)
+    read = _split_times(fh, positions)
+    if read is None:
+        fh.seek(0)
+        reader, _ = _read_header(fh, names)
+        read = _read_times(reader, positions)
     subjects = None if read is None else _subject_times(*read)
     if subjects is None:
         # A bad row or a repeated (subject, time) pair: the walk raises the
@@ -336,12 +385,13 @@ def _special_case(
 ) -> tuple:
     """reparam._special_case on Python floats: the flags in FLAGS order.
 
-    ``subject_times`` holds each subject's times, sorted, in order of first
-    appearance. The arithmetic is numpy's, one IEEE operation at a time, so
-    the flags and the spacing have the same bits. Each distinct gap and each
-    distinct difference between two times of a subject is judged once: a
-    quotient depends on the difference alone. Vectors equal as floats (0.0
-    and -0.0) have the same differences.
+    ``subject_times`` holds each subject's times, or each distinct list of
+    them, sorted, in order of first appearance. The arithmetic is numpy's,
+    one IEEE operation at a time, so the flags and the spacing have the
+    same bits. Each distinct gap and each distinct difference between two
+    times of a subject is judged once: a quotient depends on the difference
+    alone. Vectors equal as floats (0.0 and -0.0) have the same
+    differences.
     """
     multi = [t for t in subject_times if len(t) > 1]
     if not multi:

@@ -19,8 +19,9 @@ returned parameters describe correlations at integer lags on that normalized
 grid. Fitted values on differently scaled grids are therefore not directly
 comparable; use :func:`correlation_at_distance` to read off correlations on
 the original scale instead of comparing raw parameters. On a grid of the
-original times it equals the entry of ``lear_correlation`` at that
-distance bit for bit.
+original times, and on its normalized grid at a separation of two of its
+times, it equals the entry of ``lear_correlation`` for that pair bit for
+bit.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from .errors import (
     Unidentifiable,
     UnidentifiableWarning,
 )
-from .plain import DEFAULT_REL_TOL
+from .plain import DEFAULT_REL_TOL, _whole
 
 __all__ = [
     "SpecialCaseReport",
@@ -258,11 +259,16 @@ def correlation_at_distance(
     For a normalized grid the recorded spacing converts the requested
     distance into spacing units first, so parameters fitted after
     normalization can be read out against original-scale separations.
+    There a distance within DEFAULT_REL_TOL of a whole number of spacings is
+    taken as that number, as normalize_grid rounds each time, so the
+    separation of two times of the data gives its matrix entry.
     The distance must be at least one minimum distance; below that the
     exponent is extrapolated outside the model's domain.
     """
     h = grid.spacing if grid.spacing is not None else 1.0
     d = distance / h
+    if grid.spacing is not None and _whole(d, DEFAULT_REL_TOL):
+        d = float(round(d))
     if not (math.isfinite(d) and d >= grid.d_min):
         raise InvalidParams(
             f"distance {distance!r} is below the minimum distance "

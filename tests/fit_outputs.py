@@ -4,8 +4,10 @@ The inputs are built here with numpy only (seeded ``default_rng``, Cholesky
 factors of AR(1) or MA(1) correlations): a unit grid, jittered times, mixed
 pattern lengths on a unit grid, and data whose fits end on a box edge, for
 ``fit`` and ``compare``; one small file written in each form that takes its
-own route through the CSV read, for ``check-special-case`` and ``fit``; and
-two simulation specs with time templates of mixed lengths. ``build-matrix``
+own route through the CSV read, for ``check-special-case`` and ``fit``; one
+small file in each form that takes its own route through the check of a
+small file, or meets one of its faults, for ``check-special-case``; and two
+simulation specs with time templates of mixed lengths. ``build-matrix``
 and ``reparam`` take their inputs as flags.
 
 ``fit_outputs.json`` holds, for each case, its arguments, exit status,
@@ -90,7 +92,7 @@ def _inputs() -> dict:
     rng = np.random.default_rng(14)
     out["boundary.csv"] = _csv((i, t, 0.5 + _ma1(rng, t, -0.5), float(i % 2))
                                for i in range(80))
-    return {**out, **_read_routes(), **_specs()}
+    return {**out, **_read_routes(), **_check_routes(), **_specs()}
 
 
 def _read_routes() -> dict:
@@ -127,6 +129,52 @@ def _read_routes() -> dict:
 
 
 READ_ROUTES = tuple(_read_routes())
+
+
+def _check_routes() -> dict:
+    """Name -> text of one small file in each form that takes its own route
+    through the check of a small file, or one of its faults (see
+    learcov.plain._check_small)."""
+    rng = np.random.default_rng(16)
+    t = np.arange(0.0, 4.0)
+    rows = [[f"s{i}", repr(a), repr(b)] for i in range(10)
+            for a, b in zip(t.tolist(), (1.0 + _ar1(rng, t, 0.5)).tolist())]
+
+    def text(rows, end="\n", header="subject,time,y"):
+        return end.join([header, *map(",".join, rows)]) + end
+
+    def edited(at, column, value):
+        return [row if k != at else [*row[:column], value, *row[column + 1:]]
+                for k, row in enumerate(rows)]
+
+    # Odd subjects start at -0.0, even ones at 0.0: equal as floats.
+    zeros = [[sid, "-0.0", y] if time == "0.0" and int(sid[1:]) % 2 else [sid, time, y]
+             for sid, time, y in rows]
+    return {
+        "lf.csv": text(rows),
+        "crlf_check.csv": text(rows, "\r\n"),
+        "by_time.csv": text(sorted(rows, key=lambda row: float(row[1]))),
+        "r_quoted.csv": text([[f'"{sid}"', *rest] for sid, *rest in rows],
+                             header='"subject","time","y"'),
+        "lone_cr.csv": text(rows, "\r"),
+        "extra_field.csv": text(edited(9, 3, "x")),
+        "blank_line.csv": text(rows[:7] + [[""]] + rows[7:]),
+        "space_line.csv": text(rows[:7] + [[" "]] + rows[7:]),
+        "signed_zeros.csv": text(zeros),
+        # s1 at -0.0, then at 0.
+        "signed_zero_repeat.csv": text(zeros[:8] + [["s1", "0", "1.5"]] + zeros[8:]),
+        "single_visits.csv": text(rows[::4]),
+        # s2 at 1.0, then at 1.
+        "repeat_1_and_1.0.csv": text(rows[:12] + [["s2", "1", "0.5"]] + rows[12:]),
+        "nan_time.csv": text(edited(13, 1, "nan")),
+        # A byte that is not UTF-8 far into the file: where the error places
+        # it depends on the blocks the file is decoded in.
+        "not_utf8.csv": text([[f"s{i}", f"{k}.0", "1\udcff" if i == 400 else "1"]
+                              for i in range(1000) for k in range(4)]),
+    }
+
+
+CHECK_ROUTES = tuple(_check_routes())
 
 
 def _specs() -> dict:
@@ -168,7 +216,8 @@ def _cases() -> list:
         ["compare", "--input", "mixed.csv", "--max-iterations", "3"],
         ["fit", "--input", "unit.csv", "--grid-points", "5", "--tolerance", "1e-4"],
         *(["check-special-case", "--input", name] for name in
-          ("unit.csv", "jittered.csv", "mixed.csv", "boundary.csv", *READ_ROUTES)),
+          ("unit.csv", "jittered.csv", "mixed.csv", "boundary.csv", *READ_ROUTES,
+           *CHECK_ROUTES)),
         *(["fit", "--input", name] for name in READ_ROUTES),
         *(["simulate", "--spec", f"{kind}_spec.json", "--out", f"{kind}_sim.csv"]
           for kind in ("lear", "arma11")),
@@ -213,7 +262,7 @@ def write_inputs(directory: Path) -> dict:
     """Write every input into ``directory``; name -> sha256 of its bytes."""
     digests = {}
     for name, text in INPUTS.items():
-        data = text.encode("utf-8")
+        data = text.encode("utf-8", "surrogateescape")
         (directory / name).write_bytes(data)
         digests[name] = hashlib.sha256(data).hexdigest()
     return digests

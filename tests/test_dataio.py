@@ -1,9 +1,12 @@
+import contextlib
 import csv
+import itertools
 import json
 import math
 import os
 import re
 import threading
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -303,12 +306,15 @@ ODD_TEXT = st.text(alphabet=',"\r\n\x00\u2028 ab1', max_size=6)
 
 
 @st.composite
-def odd_csv_text(draw):
+def odd_csv_text(draw, grouped=False):
     """A long-format CSV written by hand, with a few odd cells: numbers from
     ODD_NUMBERS, ids and spare fields drawn from an alphabet of commas,
     quotes, line breaks, NUL, U+2028 and spaces, rows cut short or run
     long, lines ended by LF, CRLF or CR, and now and then a leading
-    byte-order mark."""
+    byte-order mark. Each row draws its id, so subjects mostly interleave;
+    when ``grouped``, the file is written as a program writes one: each
+    subject's rows together, ids that are not odd cells without a comma,
+    and every line ended by LF or every line by CRLF."""
     header = draw(st.permutations(COLUMNS))
     # Odd cells in twenty: none, some, or many.
     rate = draw(st.sampled_from([0, 1, 4]))
@@ -317,11 +323,12 @@ def odd_csv_text(draw):
         return draw(odd if draw(st.integers(0, 19)) < rate else plain)
 
     numbers = st.sampled_from(ODD_NUMBERS)
-    end = draw(st.sampled_from(["\n", "\r\n", "\r", None]))
-    lines = [",".join(header)]
+    ids = ["a", "b", "c"] if grouped else IDS[:3]
+    end = draw(st.sampled_from(["\n", "\r\n", *([] if grouped else ["\r", None])]))
+    rows = []
     for _ in range(draw(st.integers(0, 12))):
         cells = {
-            "subject": cell(st.sampled_from(IDS[:3]), ODD_TEXT),
+            "subject": cell(st.sampled_from(ids), ODD_TEXT),
             "time": cell(TIME_CELLS, numbers),
             "y": cell(NUMBER_CELLS, numbers),
             "dose": cell(NUMBER_CELLS, numbers),
@@ -331,7 +338,10 @@ def odd_csv_text(draw):
         cut = cell(st.none(), st.sampled_from([1, 3, 6]))
         if cut is not None:
             row = (row + ["x"])[:cut]
-        lines.append(",".join(row))
+        rows.append((cells["subject"], ",".join(row)))
+    if grouped:
+        rows.sort(key=itemgetter(0))
+    lines = [",".join(header), *map(itemgetter(1), rows)]
     if cell(st.just(False), st.just(True)):
         lines.insert(draw(st.integers(1, len(lines))), "")
     ends = [end or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
@@ -407,24 +417,61 @@ def test_the_times_read_alone_as_in_the_full_read(tmp_path_factory, text):
 ROWS = "a,1,0.5\na,2,0.7\nb,1,1.5\nb,3,0.1\n"
 
 
-def check_outcome(path, small):
-    """check-special-case's verdict on ``path``, read by the row walk when
-    ``small`` and by numpy's reader otherwise: the verdict's JSON bytes, or
-    the error's token and message."""
-    with mock.patch.object(plain, "_SMALL_FILE", math.inf if small else 0):
+# The routes of the check: the bulk split of a small file, csv.reader on a
+# small file, and numpy's reader.
+ROUTES = ("split", "csv", "numpy")
+
+
+def check_outcome(path, route):
+    """check-special-case's verdict on ``path``, read by ``route`` (one of
+    ROUTES) and whatever it falls back to: the verdict's JSON bytes, or the
+    error's token and message."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(
+            plain, "_SMALL_FILE", 0 if route == "numpy" else math.inf))
+        if route == "csv":
+            stack.enter_context(mock.patch.object(plain, "_split_times",
+                                                  lambda fh, positions: None))
         try:
             flags = plain._check_csv(path, ["subject", "time"])
-        except lc.LearcovError as exc:
-            return exc.token, str(exc)
+        except (lc.LearcovError, UnicodeDecodeError) as exc:
+            return getattr(exc, "token", type(exc).__name__), str(exc)
     return _jsonio.dumps(dict(zip(plain.FLAGS, flags)))
 
 
+def assert_every_route_agrees(path):
+    split, *others = (check_outcome(path, route) for route in ROUTES)
+    assert others == [split, split]
+
+
 @settings(max_examples=300, deadline=None)
-@given(odd_csv_text())
-def test_both_reads_of_the_check_agree_on_odd_text(tmp_path_factory, text):
+@given(st.one_of(odd_csv_text(), odd_csv_text(grouped=True)))
+def test_every_read_of_the_check_agrees_on_odd_text(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert check_outcome(path, small=True) == check_outcome(path, small=False)
+    assert_every_route_agrees(path)
+
+
+def test_the_split_read_takes_a_quarter_of_the_grouped_draws(tmp_path_factory):
+    # Taken: split in bulk, and grouped by runs of equal ids.
+    taken = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(odd_csv_text(grouped=True))
+    def draw(text):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            with plain._open_csv(path) as (fh, _):
+                _, positions = plain._read_header(fh, ["subject", "time"])
+                read = plain._split_times(fh, positions)
+        except lc.LearcovError:
+            read = None
+        taken.append(read is not None and
+                     len(set(read[0])) == len(list(itertools.groupby(read[0]))))
+
+    draw()
+    assert sum(taken) >= len(taken) / 4, f"{sum(taken)} of {len(taken)}"
 
 
 CHECK_TEXTS = {
@@ -446,6 +493,8 @@ CHECK_TEXTS = {
     "CRLF": ("subject,time,y\n" + ROWS).replace("\n", "\r\n"),
     "quoted line ends": CR_TEXT,
     "single visits": "subject,time,y\na,1,0.5\nb,2,0.7\nc,2.5,1\n",
+    # As many fields as lines of three would have, split 4 + 2.
+    "a long row and a short one": "subject,time,y\n1,1,0.5,7\n1,2\n2,1,1\n2,3,1\n",
     "one row": "subject,time,y\na,1,0.5\n",
     "no rows": "subject,time,y\n\n",
     "repeated time": "subject,time,y\na,1,0.5\nb,1,1\na,1.0,0.7\nb,x,1\n",
@@ -458,33 +507,44 @@ CHECK_TEXTS = {
 
 
 @pytest.mark.parametrize("name", list(CHECK_TEXTS))
-def test_both_reads_of_the_check_agree(tmp_path, name):
+def test_every_read_of_the_check_agrees(tmp_path, name):
     path = tmp_path / "data.csv"
     path.write_bytes(CHECK_TEXTS[name].encode("utf-8"))
-    assert check_outcome(path, small=True) == check_outcome(path, small=False)
+    assert_every_route_agrees(path)
+
+
+@pytest.mark.parametrize("at", [100, 17_000, 70_000])
+def test_every_read_of_the_check_places_a_byte_that_is_not_utf8_alike(tmp_path, at):
+    # The decoder gives the byte's place within the block it decodes, so
+    # every route must report it as csv.reader's read of the file does.
+    rows = "".join(f"s{i},{k},1\n" for i in range(3000) for k in range(4)).encode()
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"subject,time,y\n" + rows[:at] + b"\xff" + rows[at:])
+    assert check_outcome(path, "split")[0] == "UnicodeDecodeError"
+    assert_every_route_agrees(path)
 
 
 @pytest.mark.parametrize("name", ["CRLF", "long y", "long time", "repeated time"])
-def test_both_reads_of_the_check_agree_on_a_pipe(tmp_path, name):
+def test_every_read_of_the_check_agrees_on_a_pipe(tmp_path, name):
     # Each read gets the text through a FIFO of its own, and a thread, so a
     # read that blocks fails the test instead of hanging the suite.
     text = CHECK_TEXTS[name].encode("utf-8")
     path = tmp_path / "data.csv"
     path.write_bytes(text)
-    for small in (True, False):
-        fifo = tmp_path / f"pipe-{small}.csv"
+    for route in ROUTES:
+        fifo = tmp_path / f"pipe-{route}.csv"
         os.mkfifo(fifo)
         outcome = []
         writer = threading.Thread(target=fifo.write_bytes, args=(text,), daemon=True)
         reader = threading.Thread(
-            target=lambda: outcome.append(check_outcome(fifo, small)), daemon=True)
+            target=lambda: outcome.append(check_outcome(fifo, route)), daemon=True)
         writer.start()
         reader.start()
         reader.join(timeout=60)
         writer.join(timeout=60)
         assert not reader.is_alive() and not writer.is_alive()
-        assert outcome == [check_outcome(path, small)]
-    assert check_outcome(path, True) == check_outcome(path, False)
+        assert outcome == [check_outcome(path, route)]
+    assert_every_route_agrees(path)
 
 
 

@@ -17,6 +17,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,10 +91,18 @@ def files(tmp_path_factory):
         "covariance": {"parameterization": "arma11", "sigma2": 1.0,
                        "tau": 0.5, "rho_a": 0.5},
     }), encoding="utf-8")
+    text = csv_path.read_text(encoding="utf-8")
     long_path = root / "long.csv"
-    long_path.write_text(csv_path.read_text(encoding="utf-8")
-                         + "s1,9,\"" + "1" * 200_000 + "\"\n", encoding="utf-8")
+    long_path.write_text(text + "s1,9,\"" + "1" * 200_000 + "\"\n", encoding="utf-8")
+    # The same rows with CRLF line ends, and with the ids quoted as R quotes
+    # them: each takes its own route through the check of a small file.
+    crlf_path = root / "crlf.csv"
+    crlf_path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    quoted_path = root / "quoted.csv"
+    quoted_path.write_text(re.sub(r"^(s\d+),", r'"\1",', text, flags=re.M),
+                           encoding="utf-8")
     return {"csv": str(csv_path), "spec": str(spec_path), "long": str(long_path),
+            "crlf": str(crlf_path), "quoted": str(quoted_path),
             "out": str(root / "sim.csv")}
 
 
@@ -212,10 +221,11 @@ SMALL_CHECKS = {
 }
 
 
+@pytest.mark.parametrize("name", ["csv", "crlf", "quoted"])
 def test_check_special_case_of_a_small_file_loads_no_numpy_json_or_dataclasses(
-        files):
+        files, name):
     # dataclasses loads inspect, and that ast, dis and tokenize.
-    assert loaded_by(["check-special-case", "--input", files["csv"]],
+    assert loaded_by(["check-special-case", "--input", files[name]],
                      "numpy", "json", "dataclasses", "inspect") == (0, set())
 
 

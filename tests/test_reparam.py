@@ -508,6 +508,27 @@ def test_correlation_at_distance_uses_original_scale_after_normalization():
     assert lc.correlation_at_distance(th, norm, 4.0) == 0.25
 
 
+def test_correlation_at_distance_on_normalized_grids_is_the_matrix_entry():
+    # Each subject at h * arange(p) + offset: a separation of k gaps can
+    # round below k * h, or above, on the original scale, and normalize_grid
+    # makes it k.
+    rng = np.random.default_rng(2029)
+    pairs = 0
+    for _ in range(300):
+        h = rng.uniform(0.01, 3.0)
+        times = [h * np.arange(rng.integers(3, 9)) + rng.uniform(-10.0, 10.0)
+                 for _ in range(rng.integers(1, 4))]
+        norm = lc.normalize_grid(grid_of(*times))
+        th = lc.LearParams(1.0, rng.uniform(0.0, 1.0),
+                           rng.uniform(0.0, 5.0 * (norm.d_max - norm.d_min)))
+        for i, t in enumerate(times):
+            corr = lc.lear_correlation(th, norm, i)
+            for j, k in itertools.combinations(range(t.size), 2):
+                assert lc.correlation_at_distance(th, norm, t[k] - t[j]) == corr[j, k]
+                pairs += 1
+    assert pairs > 5000
+
+
 def test_correlation_at_distance_rejects_sub_minimum_separation():
     g = grid_of([1, 2, 3])
     with pytest.raises(lc.InvalidParams):
