@@ -1,4 +1,4 @@
-"""Pinned outputs of every ``learcov`` command on small inputs.
+"""Pinned outputs of every ``learcov`` command.
 
 The inputs are built here with numpy only (seeded ``default_rng``, Cholesky
 factors of AR(1) or MA(1) correlations): a unit grid, jittered times, mixed
@@ -10,20 +10,27 @@ small file, or meets one of its faults, for ``check-special-case``; and two
 simulation specs with time templates of mixed lengths. ``build-matrix``
 and ``reparam`` take their inputs as flags.
 
-``fit_outputs.json`` holds, for each case, its arguments, exit status,
+``command_outputs.json`` holds, for each case, its arguments, exit status,
 stdout and stderr as ``cli.main`` gave them in process, and the sha256 of
 the CSV a ``simulate`` case writes; the sha256 of each input; and the
 platform they were recorded on: numpy, BLAS, libc (whose libm rounds the
-``math`` calls) and machine.
+``math`` calls) and machine. Its ``usage`` block is data, not a record: the
+argument lists, and the config and CSV files they name, of the usage cases
+first recorded while the CLI was built on click. They cover every kind of
+usage error, values that start with a dash, ``--flag=value``, the config
+file under and over the flags, its switch spellings, ``--version``,
+unknown commands and options before the command. They run after the cases
+built here, in the same directory.
 
-``tests/test_fit_outputs.py`` replays every case. On the recorded platform
-it asserts the same bytes. On any other platform it compares the parsed
-output, floats at ``REL_TOL``/``ABS_TOL`` and everything else exactly,
-leaves out the written CSV's digest, and warns that it did so.
+``tests/test_command_outputs.py`` replays every case. On the recorded
+platform it asserts the same bytes. On any other platform a case whose
+output differs is compared parsed, floats at ``REL_TOL``/``ABS_TOL`` and
+everything else exactly, leaving out the written CSV's digest, with a
+warning that it did so.
 
 A change that alters an output on purpose rewrites the file with
 
-    PYTHONPATH=src python3 tests/fit_outputs.py --record
+    PYTHONPATH=src python3 tests/command_outputs.py --record
 
 which prints each case whose pinned output changed, to be named where the
 change is described.
@@ -43,7 +50,7 @@ import numpy as np
 
 from conftest import run_cli
 
-PIN_FILE = Path(__file__).with_name("fit_outputs.json")
+PIN_FILE = Path(__file__).with_name("command_outputs.json")
 REL_TOL, ABS_TOL = 1e-6, 1e-9
 
 
@@ -243,8 +250,9 @@ _REPARAM_GRIDS = (
 )
 
 
-INPUTS = _inputs()
-CASES = _cases()
+PINS = json.loads(PIN_FILE.read_text(encoding="utf-8"))
+INPUTS = {**_inputs(), **PINS["usage"]["files"]}
+CASES = _cases() + PINS["usage"]["args"]
 
 
 def platform_info() -> dict:
@@ -272,7 +280,7 @@ def run_case(args) -> dict:
     """``learcov args`` in this process, as the pin file holds its outcome:
     with the sha256 of the CSV that a ``simulate`` case writes."""
     outcome = dict(zip(("exit", "stdout", "stderr"), run_cli(args)))
-    if args[0] == "simulate":
+    if args[:1] == ["simulate"] and outcome["exit"] == 0:
         out = Path(args[args.index("--out") + 1])
         outcome["out_sha256"] = hashlib.sha256(out.read_bytes()).hexdigest()
     return outcome
@@ -311,17 +319,15 @@ def record() -> None:
             cases = [{"args": args, **run_case(args)} for args in CASES]
         finally:
             os.chdir(here)
-    old = {}
-    if PIN_FILE.exists():
-        pinned = json.loads(PIN_FILE.read_text(encoding="utf-8"))
-        old = {tuple(case["args"]): case for case in pinned["cases"]}
+    old = {tuple(case["args"]): case for case in PINS["cases"]}
     changed = [case for case in cases if old.get(tuple(case["args"])) != case]
     for case in changed:
         state = "changed" if tuple(case["args"]) in old else "new"
         print(f"{state}: {' '.join(case['args'])}")
     if not changed:
         print("no pinned output changed")
-    pins = {"platform": platform_info(), "inputs": digests, "cases": cases}
+    pins = {"platform": platform_info(), "inputs": digests,
+            "usage": PINS["usage"], "cases": cases}
     PIN_FILE.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {PIN_FILE}")
 
