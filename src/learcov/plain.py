@@ -14,9 +14,9 @@ numpy. Text without quotes, NULs or lone CRs, in lines of equal width, is
 split in bulk a block at a time, and other text read by csv.reader; a file
 with a bad row or a repeated (subject, time) is walked, which names the
 first. Subjects are runs of equal ids where each one's rows sit together,
-else found by a dict, and the distinct time patterns are judged by a port
-of reparam._special_case on Python floats. A larger file, or one the csv
-module cannot read, goes to numpy's reader and reparam._special_case, as
+else found by a dict, and the distinct time patterns are judged by a port of
+reparam._special_case on Python floats. A larger file, or other text with a
+field over csv's limit, goes to numpy's reader and reparam._special_case, as
 every library caller does. Either judge's verdict is the five flags of
 reparam.SpecialCaseReport, a tuple in the order of FLAGS.
 """
@@ -107,9 +107,9 @@ def _walk_rows(reader, names, positions):
 
     Raises the error of the first bad row in file order. Within a row: a
     short row, then each named column in ``names`` order, then a repeated
-    (subject, time) pair. A row the csv module cannot read ends the walk
-    with its csv.Error, whose ``row`` is that row's number: the rows read
-    before it, plus one, with the header as row 1.
+    (subject, time) pair. A row the csv module cannot read is ParseError
+    with the csv module's message, numbered by the rows read before it,
+    plus one, with the header as row 1.
     """
     needed = max(positions) + 1
     columns = list(zip(names[1:], positions[1:]))
@@ -137,8 +137,7 @@ def _walk_rows(reader, names, positions):
             for column, number in zip(values, numbers):
                 column.append(number)
     except csv.Error as exc:
-        exc.row = row_num + 1
-        raise
+        raise ParseError(f"row {row_num + 1}: {exc}") from None
     if not sids:
         raise ParseError("no data rows after the header")
     return sids, values
@@ -184,10 +183,10 @@ _NOT_SHAPE = bytes(sorted(set(range(256)) - set(b',\n\r"\0')))
 def _split_times(fh, positions):
     """The subject ids and times of the rows left in ``fh``, split in bulk a
     block of lines at a time, or None: for text that csv.reader could split
-    otherwise (a quote, a NUL, a CR outside CRLF, a block over the csv
-    module's field size limit, lines of unequal width or too short for
-    ``positions``) or that is not UTF-8, a time that float() refuses or
-    that is not finite, or no data line."""
+    otherwise (a quote, a NUL, a CR outside CRLF, lines of unequal width or
+    too short for ``positions``) or that is not UTF-8, a time that float()
+    refuses or that is not finite, or no data line. A field over the csv
+    module's limit is split like any other, as numpy's reader reads it."""
     width = None
     sids, cells = [], []
     try:
@@ -198,7 +197,7 @@ def _split_times(fh, positions):
             shape = text.encode().translate(None, _NOT_SHAPE)
             lines = shape.count(b"\n") + 1
             width = width or (len(shape) + 1) // lines  # if all lines are alike
-            if (width <= max(positions) or len(text) > csv.field_size_limit()
+            if (width <= max(positions)
                     or shape != b"\n".join([b"," * (width - 1)] * lines)):
                 return None
             fields = text.replace("\n", ",").split(",")
@@ -254,7 +253,7 @@ def _sorted_columns(fh, names):
     returned as one (columns, rows) array of numbers. Raises what
     read_long_csv raises for these columns; columns left out are not
     parsed. A file numpy's reader refuses is walked from its first data row
-    (see _walk_rows); a row the csv module cannot read is ParseError.
+    (see _walk_rows).
     """
     import numpy as np
 
@@ -263,10 +262,7 @@ def _sorted_columns(fh, names):
     if parsed is None:
         fh.seek(0)
         reader, _ = _read_header(fh, names)
-        try:
-            sids, values = _walk_rows(reader, names, positions)
-        except csv.Error as exc:
-            raise ParseError(f"row {exc.row}: {exc}") from None
+        sids, values = _walk_rows(reader, names, positions)
         parsed = _sort_columns(sids, np.array(values))
     values, rank = parsed
     _two_or_more(len(rank))
@@ -340,10 +336,11 @@ def _check_csv(path, names) -> tuple:
 
     ``names`` are the subject and time columns. A file smaller than
     _SMALL_FILE is read without numpy and judged in Python (_check_small);
-    a larger one, or one with a row the csv module cannot read (numpy's
-    reader has no field size limit), is read by numpy's reader and judged
-    by reparam._special_case. Both give the verdict and the errors of
-    ``reparam.check_special_case`` on the grid of ``read_long_csv``.
+    a larger one, or one the split refuses with a row the csv module cannot
+    read (numpy's reader has no field size limit), is read by numpy's
+    reader and judged by reparam._special_case. Both give the verdict and
+    the errors of ``reparam.check_special_case`` on the grid of
+    ``read_long_csv``.
     """
     with _open_csv(path) as (fh, size):
         if size < _SMALL_FILE:
@@ -369,13 +366,10 @@ def _check_small(fh, names) -> tuple:
         read = _read_times(reader, positions)
     subjects = None if read is None else _subject_times(*read)
     if subjects is None:
-        # A bad row or a repeated (subject, time) pair: the walk raises the
-        # error of the first in file order.
+        # Only a bad row or a repeated pair gets here: the walk raises it.
         fh.seek(0)
         reader, _ = _read_header(fh, names)
-        sids, (times,) = _walk_rows(reader, names, positions)
-        read = sids, times
-        subjects = _subject_times(*read)
+        _walk_rows(reader, names, positions)
     _two_or_more(len(read[0]))
     return _special_case(subjects)
 
@@ -390,8 +384,7 @@ def _special_case(
     one IEEE operation at a time, so the flags and the spacing have the
     same bits. Each distinct gap and each distinct difference between two
     times of a subject is judged once: a quotient depends on the difference
-    alone. Vectors equal as floats (0.0 and -0.0) have the same
-    differences.
+    alone.
     """
     multi = [t for t in subject_times if len(t) > 1]
     if not multi:
@@ -400,8 +393,7 @@ def _special_case(
         )
     # The first subject with two times fixes the gap.
     h = multi[0][1] - multi[0][0]
-    patterns = set(map(tuple, multi))
-    gaps = {b - a for t in patterns for a, b in zip(t, t[1:])}
+    gaps = {b - a for t in multi for a, b in zip(t, t[1:])}
     bound = rel_tol * abs(h)
     equally_spaced = all(abs(g - h) <= bound for g in gaps)
 
@@ -411,7 +403,7 @@ def _special_case(
     judged: set[float] = set()
     integer_distances = all(
         _whole(d / scale, rel_tol)
-        for t in patterns for a, b in itertools.combinations(t, 2)
+        for t in multi for a, b in itertools.combinations(t, 2)
         if (d := b - a) not in judged and not judged.add(d)
     )
     dmin_is_one = abs(min(gaps) / scale - 1.0) <= rel_tol

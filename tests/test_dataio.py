@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -121,6 +122,15 @@ def test_read_long_csv_reads_a_long_field_in_a_column_it_does_not_use(tmp_path):
     # row, which still names the long field's row.
     with pytest.raises(lc.ParseError, match="^row 3: field larger than field limit"):
         lc.read_long_csv(write(tmp_path, text.format("j" * 200_000) + "c,1\n"))
+
+
+def test_the_row_walk_numbers_a_row_past_the_csv_limit():
+    reader = csv.reader(io.StringIO(
+        "subject,time,y\na,1,0.5\n\na,2," + "1" * 200_000 + "\n", newline=""))
+    next(reader)
+    with pytest.raises(lc.ParseError,
+                       match=r"^row 4: field larger than field limit \(131072\)$"):
+        plain._walk_rows(reader, ["subject", "time", "y"], [0, 1, 2])
 
 
 def test_read_long_csv_names_the_first_bad_row(tmp_path):
@@ -474,6 +484,19 @@ def test_the_split_read_takes_a_quarter_of_the_grouped_draws(tmp_path_factory):
     assert sum(taken) >= len(taken) / 4, f"{sum(taken)} of {len(taken)}"
 
 
+@pytest.mark.parametrize("row", [
+    "a,1,0.7," + "j" * 200_000,
+    "a,1," + "1" * 200_000 + ",j",
+    "a,1." + "0" * 199_998 + ",0.7,j",
+], ids=["spare", "y", "time"])
+def test_the_split_read_takes_a_field_over_the_csv_limit(row):
+    # As numpy's reader does, which has no limit; csv.reader would refuse it.
+    text = f"a,0,0.5,j\n{row}\nb,1,1.5,j\n"
+    assert max(map(len, row.split(","))) > csv.field_size_limit()
+    assert plain._split_times(io.StringIO(text, newline=""), [0, 1]) == (
+        ["a", "a", "b"], [0.0, 1.0, 1.0])
+
+
 CHECK_TEXTS = {
     "long time": f"subject,time,y\na,1,0.5\na,{LONG_FIELD},0.7\nb,1,1\n",
     "long y": f"subject,time,y\na,1,0.5\na,2,{LONG_FIELD}\nb,1,1\nb,2,1\n",
@@ -483,6 +506,12 @@ CHECK_TEXTS = {
     "long field before a bad time":
         f"subject,time,y\na,1,0.5\na,2,{LONG_FIELD}\nb,x,1\n",
     "long header": f"subject,time,{LONG_FIELD}\na,1,0.5\na,2,0.7\n",
+    "repeat after a long note":
+        f"subject,time,note\na,1,{LONG_FIELD}\na,2,j\nb,1,j\na,1.0,j\n",
+    "repeat before a long note":
+        f"subject,time,note\na,1,j\na,1.0,j\nb,1,{LONG_FIELD}\n",
+    "R-quoted ids and a long note": '"subject","time","note"\n'
+        f'"a",1,j\n"a",2,{LONG_FIELD}\n"b",1,j\n"b",3,j\n',
     **{f"separator {ord(c):#x} in a time": ROWS.replace("a,2", f"a,{c}2")
        for c in "\x1c\x1d\x1e\x1f"},
     **{f"separator {ord(c):#x} in an id and a spare field":

@@ -101,9 +101,15 @@ def files(tmp_path_factory):
     quoted_path = root / "quoted.csv"
     quoted_path.write_text(re.sub(r"^(s\d+),", r'"\1",', text, flags=re.M),
                            encoding="utf-8")
+    # The rows with a note column, one note over the csv module's field limit.
+    note_path = root / "note.csv"
+    header, *rows = text.splitlines()
+    note_path.write_text("\n".join([f"{header},note", f"{rows[0]},{'n' * 200_000}",
+                                    *(f"{row},n" for row in rows[1:])]) + "\n",
+                         encoding="utf-8")
     return {"csv": str(csv_path), "spec": str(spec_path), "long": str(long_path),
             "crlf": str(crlf_path), "quoted": str(quoted_path),
-            "out": str(root / "sim.csv")}
+            "note": str(note_path), "out": str(root / "sim.csv")}
 
 
 def test_import_learcov_loads_no_scipy():
@@ -221,7 +227,7 @@ SMALL_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("name", ["csv", "crlf", "quoted"])
+@pytest.mark.parametrize("name", ["csv", "crlf", "quoted", "note"])
 def test_check_special_case_of_a_small_file_loads_no_numpy_json_or_dataclasses(
         files, name):
     # dataclasses loads inspect, and that ast, dis and tokenize.
