@@ -59,14 +59,30 @@ def _open_csv(path):
     line ends kept as they are (newline=""). A stream that cannot seek, such
     as a pipe, is read into memory first, so that it can be read twice like
     a file on disk; its size is then the number of characters read, and
-    otherwise the file's size in bytes.
+    otherwise the file's size in bytes. Bytes that are not UTF-8 are
+    ParseError, whichever read meets them, placed by their offset in the
+    file and their line: the decoder of a text stream places them within
+    the block it was decoding.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        if fh.seekable():
-            yield fh, os.fstat(fh.fileno()).st_size
-        else:
-            text = fh.read()
-            yield io.StringIO(text, newline=""), len(text)
+        data = None if fh.seekable() else fh.buffer.read()
+        try:
+            if data is None:
+                yield fh, os.fstat(fh.fileno()).st_size
+            else:
+                text = data.decode("utf-8-sig")
+                yield io.StringIO(text, newline=""), len(text)
+        except UnicodeDecodeError:
+            if data is None:
+                fh.buffer.seek(0)
+                data = fh.buffer.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # Lines end as the csv module ends them: LF, CRLF or CR.
+                line = len((data[:exc.start] + b".").splitlines())
+                raise ParseError(f"{exc}, on line {line}") from None
+            raise
 
 
 def _read_header(fh, names):

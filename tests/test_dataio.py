@@ -145,6 +145,23 @@ def test_read_long_csv_names_the_first_bad_row(tmp_path):
 CR_TEXT = 'subject,time,y\r"x\r\ny",1,0.5\r"x\ny",1,0.7\r"x\r\ny",2,0.1\r"x\ny",3,0.2\r'
 
 
+def through_fifo(fifo, data, read):
+    """``read(fifo)`` of a FIFO made at ``fifo`` while ``data`` is written
+    into it. Each end runs in a thread of its own, so a read that blocks
+    fails the test instead of hanging the suite."""
+    os.mkfifo(fifo)
+    outcome = []
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    reader = threading.Thread(target=lambda: outcome.append(read(fifo)), daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=60)
+    writer.join(timeout=60)
+    assert not reader.is_alive() and not writer.is_alive()
+    (got,) = outcome
+    return got
+
+
 @pytest.mark.parametrize("text, error", [
     (GOOD_CSV, None),
     ("subject,time,y\na,1,0.5\na,1_0,0.7\nb,1,1.5\nb,x,0.1\n", "row 5: cannot parse"),
@@ -156,26 +173,14 @@ CR_TEXT = 'subject,time,y\r"x\r\ny",1,0.5\r"x\ny",1,0.7\r"x\r\ny",2,0.1\r"x\ny",
 ])
 def test_read_long_csv_reads_a_stream_that_cannot_seek(tmp_path, text, error):
     # A pipe is read into memory first, so it is read as the same file on
-    # disk is. The read runs in a thread of its own: one that blocks fails
-    # the test instead of hanging the suite.
-    fifo = tmp_path / "pipe.csv"
-    os.mkfifo(fifo)
-    outcome = []
-
-    def read():
+    # disk is.
+    def read(fifo):
         try:
-            outcome.append(lc.read_long_csv(fifo))
+            return lc.read_long_csv(fifo)
         except lc.LearcovError as exc:
-            outcome.append(exc)
+            return exc
 
-    writer = threading.Thread(target=fifo.write_bytes, args=(text.encode(),), daemon=True)
-    reader = threading.Thread(target=read, daemon=True)
-    writer.start()
-    reader.start()
-    reader.join(timeout=60)
-    writer.join(timeout=60)
-    assert not reader.is_alive() and not writer.is_alive()
-    (got,) = outcome
+    got = through_fifo(tmp_path / "pipe.csv", text.encode(), read)
     if error is None:
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
@@ -444,8 +449,8 @@ def check_outcome(path, route):
                                                   lambda fh, positions: None))
         try:
             flags = plain._check_csv(path, ["subject", "time"])
-        except (lc.LearcovError, UnicodeDecodeError) as exc:
-            return getattr(exc, "token", type(exc).__name__), str(exc)
+        except lc.LearcovError as exc:
+            return exc.token, str(exc)
     return _jsonio.dumps(dict(zip(plain.FLAGS, flags)))
 
 
@@ -544,35 +549,35 @@ def test_every_read_of_the_check_agrees(tmp_path, name):
 
 @pytest.mark.parametrize("at", [100, 17_000, 70_000])
 def test_every_read_of_the_check_places_a_byte_that_is_not_utf8_alike(tmp_path, at):
-    # The decoder gives the byte's place within the block it decodes, so
-    # every route must report it as csv.reader's read of the file does.
+    # A text stream's decoder places the byte within the block it decodes;
+    # every read, of a file or a pipe, places it in the file.
     rows = "".join(f"s{i},{k},1\n" for i in range(3000) for k in range(4)).encode()
-    path = tmp_path / "data.csv"
-    path.write_bytes(b"subject,time,y\n" + rows[:at] + b"\xff" + rows[at:])
-    assert check_outcome(path, "split")[0] == "UnicodeDecodeError"
-    assert_every_route_agrees(path)
+    line = rows[:at].count(b"\n") + 2
+    for name, end in (("lf", b"\n"), ("cr", b"\r")):
+        data = (b"subject,time,y\n" + rows[:at] + b"\xff" + rows[at:]).replace(b"\n", end)
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        message = (f"'utf-8' codec can't decode byte 0xff in position {at + 15}: "
+                   f"invalid start byte, on line {line}")
+        assert [check_outcome(path, route) for route in ROUTES] == [
+            ("E_PARSE_ERROR", message)] * 3
+        assert through_fifo(tmp_path / f"{name}.pipe", data,
+                            lambda fifo: check_outcome(fifo, "split")) == (
+            "E_PARSE_ERROR", message)
+        assert read_outcome(lc.read_long_csv, path, "intercept") == (
+            lc.ParseError, message)
 
 
 @pytest.mark.parametrize("name", ["CRLF", "long y", "long time", "repeated time"])
 def test_every_read_of_the_check_agrees_on_a_pipe(tmp_path, name):
-    # Each read gets the text through a FIFO of its own, and a thread, so a
-    # read that blocks fails the test instead of hanging the suite.
+    # Each read gets the text through a FIFO of its own.
     text = CHECK_TEXTS[name].encode("utf-8")
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     for route in ROUTES:
-        fifo = tmp_path / f"pipe-{route}.csv"
-        os.mkfifo(fifo)
-        outcome = []
-        writer = threading.Thread(target=fifo.write_bytes, args=(text,), daemon=True)
-        reader = threading.Thread(
-            target=lambda: outcome.append(check_outcome(fifo, route)), daemon=True)
-        writer.start()
-        reader.start()
-        reader.join(timeout=60)
-        writer.join(timeout=60)
-        assert not reader.is_alive() and not writer.is_alive()
-        assert outcome == [check_outcome(path, route)]
+        assert through_fifo(tmp_path / f"pipe-{route}.csv", text,
+                            lambda fifo: check_outcome(fifo, route)) == (
+            check_outcome(path, route))
     assert_every_route_agrees(path)
 
 
