@@ -118,9 +118,12 @@ def test_reparam_needs_exactly_one_range_source():
 
 
 def test_reparam_requires_source_parameters():
-    result = invoke("reparam", "--direction", "lear2arma", "--range", "2")
-    assert result.exit_code == 12
-    assert result.stdout.strip() == "E_INVALID_PARAMS"
+    for direction, needs in (("lear2arma", "--rho-l and --delta"),
+                             ("arma2lear", "--tau and --rho-a")):
+        result = invoke("reparam", "--direction", direction, "--range", "3")
+        assert result.exit_code == 12
+        assert result.stdout.strip() == "E_INVALID_PARAMS"
+        assert result.stderr == f"InvalidParams: {direction} needs {needs}\n"
 
 
 def test_reparam_rejects_points_outside_the_image():
@@ -336,6 +339,14 @@ def spec_file(tmp_path, n_subjects=50, times=((1.0, 2.0, 3.0, 4.0),)):
                        "rho_l": 0.5, "delta": 2.0},
     }), encoding="utf-8")
     return str(path)
+
+
+def test_simulate_refuses_a_spec_that_is_not_a_json_object(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[1, 2]", encoding="utf-8")
+    result = invoke("simulate", "--spec", str(spec), "--out", str(tmp_path / "out.csv"))
+    assert (result.exit_code, result.stdout) == (20, "E_PARSE_ERROR\n")
+    assert result.stderr == "ParseError: simulation spec must be a JSON object\n"
 
 
 def test_simulate_writes_reproducible_csv(tmp_path):

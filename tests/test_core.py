@@ -96,6 +96,8 @@ def test_lear_params_validate_space():
         lc.LearParams(1.0, 0.5, -0.5)
     with pytest.raises(lc.InvalidParams):
         lc.LearParams(1.0, 0.5, np.inf)
+    with pytest.raises(lc.InvalidParams, match="^sigma2 must be a real number$"):
+        lc.LearParams(None, 0.5, 1.0)
 
 
 def test_arma11_params_accept_wider_box():

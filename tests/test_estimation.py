@@ -96,6 +96,11 @@ def test_dataset_requires_consistent_design_width():
         lc.RepeatedMeasuresData((s1, s2))
 
 
+def test_dataset_requires_a_design_column():
+    with pytest.raises(lc.InvalidSize, match="at least one column"):
+        lc.RepeatedMeasuresData([subject([1, 2], [0.1, 0.2], X=np.ones((2, 0)))])
+
+
 def test_dataset_rejects_rank_deficient_stacked_design():
     X = np.column_stack([np.ones(3), 2.0 * np.ones(3)])
     s1 = subject([1, 2, 3], [0.1, 0.2, 0.3], X=X)
@@ -337,6 +342,32 @@ def test_overflowing_cross_products_are_refused(scale):
     data = scaled_dataset(scale)
     with pytest.raises(lc.InvalidSize, match=OVERFLOW):
         lc.profile_estimates(data, (0.5, 1.0))
+    with pytest.raises(lc.InvalidSize, match=OVERFLOW):
+        lc.fit(data)
+
+
+def test_overflowing_cross_products_of_a_pattern_of_one_subject_are_refused():
+    # Each subject has its own pattern, so each pattern's sums have a
+    # single term: they are summed directly, not by math.fsum, and the
+    # workspace refuses them before any evaluation meets them.
+    rng = np.random.default_rng(0)
+    data = lc.RepeatedMeasuresData(
+        subject([0.0, 1.0 + 0.1 * i, 2.5 + 0.2 * i], 1e160 * rng.standard_normal(3))
+        for i in range(5)
+    )
+    with pytest.raises(lc.InvalidSize, match=OVERFLOW):
+        _Prepared(data)
+    with pytest.raises(lc.InvalidSize, match=OVERFLOW):
+        lc.fit(data)
+
+
+def test_overflowing_sums_over_patterns_are_refused():
+    # Each pattern's term is finite; their sum over the patterns overflows.
+    data = lc.RepeatedMeasuresData([
+        subject([0.0, 1.0, 3.0], [0.1, -0.2, 0.3]),
+        *(subject([float(k)], [sign * 1e154])
+          for k, sign in zip(range(4), (1, -1, 1, -1))),
+    ])
     with pytest.raises(lc.InvalidSize, match=OVERFLOW):
         lc.fit(data)
 

@@ -72,6 +72,12 @@ def test_values_of_no_json_type_are_refused():
             dumps(value)
 
 
+def test_empty_containers_are_written_as_json_writes_them():
+    for value in ({}, [], {"a": {}, "b": []}):
+        for indent in (None, 2):
+            assert dumps(value, indent=indent) == json.dumps(value, indent=indent)
+
+
 # Any code point, lone surrogates included, and the characters at the edges
 # of what _jsonio quotes itself.
 TEXT = st.text(st.one_of(

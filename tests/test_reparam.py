@@ -56,6 +56,13 @@ def test_irregular_grid_is_not_eligible():
     assert report.dmin_is_one
 
 
+def test_a_grid_built_directly_is_checked_as_a_built_one():
+    # build_grid hands the grid its pattern table; a direct one finds its own.
+    times = (np.array([2.0, 4.0, 6.0]), np.array([10.0, 12.0]), np.array([1.0, 2.0]))
+    direct = lc.MeasurementGrid(times, 1.0, 4.0)
+    assert lc.check_special_case(direct) == lc.check_special_case(grid_of(*times))
+
+
 def test_mismatched_gaps_across_subjects_are_not_eligible():
     report = lc.check_special_case(grid_of([1, 2, 3], [1, 3, 5]))
     assert not report.eligible

@@ -250,6 +250,8 @@ def test_spec_rejects_malformed_explicit_designs():
         spec_of(design=(np.ones((4, 1)),))  # row count disagrees with times
     with pytest.raises(lc.InvalidSize):
         spec_of(design=(np.ones((5, 0)),))
+    with pytest.raises(lc.InvalidSize, match="non-finite"):
+        spec_of(design=(np.full((5, 1), np.nan),))
     with pytest.raises(lc.InvalidSize):
         spec_of(
             times=(TIMES, TIMES[:3]),
