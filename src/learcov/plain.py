@@ -48,6 +48,17 @@ FLAGS = ("equally_spaced", "integer_distances", "dmin_is_one", "spacing", "eligi
 # split was 136 ms faster than numpy's route at 2.6 MB and 182 ms faster at
 # 10.4 MB, and csv.reader, on the same rows with quoted ids, 52 ms faster at
 # 11.1 MB. csv.reader with per-row dict grouping broke even at 10.4 MB.
+# Above it no route wins everywhere. _check_csv in a new process, imports
+# included, on 2 vCPUs (medians of 5; MB is the peak RSS):
+#
+#   file                                     Python route    numpy's route
+#   36.2 MB, 2e5 subjects, 3 shared patterns   506 ms 136 MB   858 ms 203 MB
+#   26.7 MB, 1e5 subjects x 8 jittered visits  885 ms 151 MB   772 ms 136 MB
+#   the first with R-quoted ids (38.8 MB)     1357 ms 172 MB   797 ms 203 MB
+#   the second with R-quoted ids (28.3 MB)    1119 ms 137 MB   716 ms 136 MB
+#
+# The better route depends on the quoting and the number of patterns, which
+# are known only after the read, so the threshold stays where it is.
 _SMALL_FILE = 10_000_000
 
 
