@@ -174,8 +174,8 @@ def _check_routes() -> dict:
         # s2 at 1.0, then at 1.
         "repeat_1_and_1.0.csv": text(rows[:12] + [["s2", "1", "0.5"]] + rows[12:]),
         "nan_time.csv": text(edited(13, 1, "nan")),
-        # A byte that is not UTF-8 far into the file: where the error places
-        # it depends on the blocks the file is decoded in.
+        # A byte that is not UTF-8 past the first blocks a text stream
+        # decodes, which is placed by its offset in the file all the same.
         "not_utf8.csv": text([[f"s{i}", f"{k}.0", "1\udcff" if i == 400 else "1"]
                               for i in range(1000) for k in range(4)]),
     }
