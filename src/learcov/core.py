@@ -243,9 +243,7 @@ def _pooled_grid(
     """
     if patterns is None:
         patterns = _Patterns.of(vectors)
-    if patterns.extremes is None:
-        raise DegenerateGrid("no subject has two measurements; no distance is defined")
-    observed_min, observed_max = patterns.extremes
+    observed_min, observed_max = patterns.defined_extremes()
 
     if d_min is None:
         d_min = observed_min

@@ -83,7 +83,7 @@ def read_long_csv(
     constant column if you want one).
 
     Subjects are ordered by first appearance and rows by time within
-    subject.
+    subject. A design without full column rank is read; a fit refuses it.
 
     Raises:
         ParseError: missing header/columns, short rows, non-numeric values,

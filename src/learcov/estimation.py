@@ -139,6 +139,12 @@ class _Prepared:
     def __init__(self, data: RepeatedMeasuresData):
         q = self.q = data.q
         self.M = data.n_obs
+        # The SVD refuses exact collinearity, which the Cholesky of the
+        # exactly summed normal equations can miss by rounding; the Cholesky
+        # refuses near collinearity within the SVD's tolerance.
+        if (rank := np.linalg.matrix_rank(data.X)) < q:
+            raise RankDeficient(f"stacked design matrix has rank {rank}, "
+                                f"less than its number of columns ({q})")
         Xt = data.X.T
         self.beta0 = _cho_solve(
             _normal_factor(_exact_gram(Xt), "the design is rank deficient"),
@@ -195,21 +201,18 @@ def _exact_gram(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     A and B hold one variable per row and one observation per column.
     Without B the result is A @ A.T, and only its upper triangle is summed;
     rows of A that hold one value throughout take the shortcut of
-    _gram_with_constant_rows. Raises InvalidSize when a product or a sum
-    overflows.
+    _gram_with_constant_rows. Raises InvalidSize when a product or a sum of
+    three or more overflows; _tail refuses the inf or NaN of a shorter one.
     """
     symmetric = B is None
     if symmetric:
         B = A
     m = A.shape[1]
-    # Products that overflow are refused below, not warned about.
+    # Products that overflow are refused, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         if m <= 2:
             # One product, or one rounded sum of two: exactly rounded already.
-            out = (A[:, None, :] * B[None, :, :]).sum(axis=-1)
-            if not np.isfinite(out).all():
-                raise _overflow()
-            return out
+            return (A[:, None, :] * B[None, :, :]).sum(axis=-1)
         if symmetric:
             constant = _constant_rows(A)
             if constant.any():
@@ -852,6 +855,7 @@ def fit(
         DegenerateRange: the pooled distance range is zero, leaving the
             second correlation parameter with nothing to act on.
         NotSpecialCase: ARMA(1,1) requested on an ineligible grid.
+        RankDeficient: the design lacks full column rank.
         FitFailed: every grid point failed to evaluate.
     """
     _check_choices(criterion, parameterization)

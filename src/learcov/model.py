@@ -20,7 +20,7 @@ from itertools import pairwise
 import numpy as np
 
 from .core import MeasurementGrid, _Patterns, _pooled_grid, validated_times
-from .errors import InvalidParams, InvalidSize, RankDeficient
+from .errors import InvalidParams, InvalidSize
 
 __all__ = [
     "SubjectData",
@@ -97,9 +97,9 @@ class RepeatedMeasuresData:
     SubjectData per subject, and ``grid`` the times as a MeasurementGrid;
     both are views of these arrays built on first access.
 
-    The stacked design matrix must have full column rank q. Subjects may have
-    different numbers of measurements; missing visits simply shorten a
-    subject's rows (no imputation happens anywhere).
+    Subjects may have different numbers of measurements; missing visits
+    simply shorten a subject's rows (no imputation happens anywhere). The
+    design's rank is left to estimation, the one step that needs it full.
     """
 
     times: np.ndarray
@@ -143,10 +143,6 @@ class RepeatedMeasuresData:
         for name, arr in (("times", times), ("y", y), ("X", X), ("offsets", offsets)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.linalg.matrix_rank(X) < X.shape[1]:
-            raise RankDeficient(
-                f"stacked design matrix has rank below its {X.shape[1]} columns"
-            )
 
     @cached_property
     def subjects(self) -> tuple[SubjectData, ...]:
@@ -174,7 +170,6 @@ class RepeatedMeasuresData:
 
         Its times are views of the frozen flat times, so it copies nothing.
         """
-        self._patterns.defined_extremes()  # no distances, no grid
         times = [self.times[a:b] for a, b in pairwise(self.offsets.tolist())]
         return _pooled_grid(times, patterns=self._patterns)
 

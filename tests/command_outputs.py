@@ -2,13 +2,14 @@
 
 The inputs are built here with numpy only (seeded ``default_rng``, Cholesky
 factors of AR(1) or MA(1) correlations): a unit grid, jittered times, mixed
-pattern lengths on a unit grid, and data whose fits end on a box edge, for
-``fit`` and ``compare``; one small file written in each form that takes its
-own route through the CSV read, for ``check-special-case`` and ``fit``; one
-small file in each form that takes its own route through the check of a
-small file, or meets one of its faults, for ``check-special-case``; and two
-simulation specs with time templates of mixed lengths. ``build-matrix``
-and ``reparam`` take their inputs as flags.
+pattern lengths on a unit grid, data whose fits end on a box edge, and a
+covariate that is zero throughout, for ``fit`` and ``compare``; one small
+file written in each form that takes its own route through the CSV read,
+for ``check-special-case`` and ``fit``; one small file in each form that
+takes its own route through the check of a small file, or meets one of its
+faults, for ``check-special-case``; two simulation specs with time
+templates of mixed lengths, and one of a single visit whose design is rank
+deficient. ``build-matrix`` and ``reparam`` take their inputs as flags.
 
 ``command_outputs.json`` holds, for each case, its arguments, exit status,
 stdout and stderr as ``cli.main`` gave them in process, and the sha256 of
@@ -99,6 +100,10 @@ def _inputs() -> dict:
     rng = np.random.default_rng(14)
     out["boundary.csv"] = _csv((i, t, 0.5 + _ma1(rng, t, -0.5), float(i % 2))
                                for i in range(80))
+    # A covariate that is 0 throughout: the design `dose` has rank 0.
+    rng = np.random.default_rng(17)
+    out["zero_dose.csv"] = _csv((i, t, 1.0 + _ar1(rng, t, 0.5), 0.0)
+                                for i in range(10))
     return {**out, **_read_routes(), **_check_routes(), **_specs()}
 
 
@@ -196,7 +201,12 @@ def _specs() -> dict:
             "times": [[1, 2, 3, 4, 5], [1, 2, 3]], "beta": [2.0], "seed": 7,
             "covariance": {"parameterization": "arma11", "sigma2": 1.0,
                            "tau": 0.5, "rho_a": 0.8}}
-    return {"lear_spec.json": json.dumps(lear), "arma11_spec.json": json.dumps(arma)}
+    # One visit at time 1: the intercept-time design is rank deficient, which
+    # simulating accepts and only a fit would refuse.
+    single = {**arma, "n_subjects": 4, "times": [[1.0]], "beta": [2.0, 0.5],
+              "design": "intercept-time"}
+    return {"lear_spec.json": json.dumps(lear), "arma11_spec.json": json.dumps(arma),
+            "single_visit_spec.json": json.dumps(single)}
 
 
 def _cases() -> list:
@@ -226,8 +236,10 @@ def _cases() -> list:
           ("unit.csv", "jittered.csv", "mixed.csv", "boundary.csv", *READ_ROUTES,
            *CHECK_ROUTES)),
         *(["fit", "--input", name] for name in READ_ROUTES),
+        ["fit", "--input", "zero_dose.csv", "--design", "dose"],
         *(["simulate", "--spec", f"{kind}_spec.json", "--out", f"{kind}_sim.csv"]
-          for kind in ("lear", "arma11")),
+          for kind in ("lear", "arma11", "single_visit")),
+        ["build-matrix", "--times", "1", "--rho-l", "0.5", "--delta", "1"],
         *(["build-matrix", "--times", times, "--sigma2", "2", "--rho-l", "0.6",
            "--delta", "1.5", "--format", fmt]
           for times in ("0,0.5,2,3.25", "1,2") for fmt in ("json", "text")),

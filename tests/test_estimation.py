@@ -101,12 +101,51 @@ def test_dataset_requires_a_design_column():
         lc.RepeatedMeasuresData([subject([1, 2], [0.1, 0.2], X=np.ones((2, 0)))])
 
 
-def test_dataset_rejects_rank_deficient_stacked_design():
+def test_dataset_accepts_a_rank_deficient_design_that_estimation_refuses():
     X = np.column_stack([np.ones(3), 2.0 * np.ones(3)])
     s1 = subject([1, 2, 3], [0.1, 0.2, 0.3], X=X)
     s2 = subject([1, 2, 3], [0.4, 0.5, 0.6], X=X)
+    data = lc.RepeatedMeasuresData((s1, s2))
+    assert data.q == 2
     with pytest.raises(lc.RankDeficient):
-        lc.RepeatedMeasuresData((s1, s2))
+        lc.profile_estimates(data, (0.5, 1.0))
+    with pytest.raises(lc.RankDeficient):
+        lc.fit(data)
+
+
+RANK_OF_THE_DESIGN = "stacked design matrix has rank 1, less than its number"
+SINGULAR_NORMAL_EQUATIONS = "normal equations are singular; the design is rank"
+
+
+def collinear_dataset(column, n_subjects, p, seed=0):
+    """Subjects at times 1..p with the design [1, column(t)]."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(1.0, p + 1.0)
+    X = np.column_stack([np.ones(p), column(t)])
+    return lc.RepeatedMeasuresData(
+        subject(t, rng.standard_normal(p), X) for _ in range(n_subjects)
+    )
+
+
+def test_the_svd_refuses_an_exactly_collinear_design_the_cholesky_factors():
+    # The second column is 0.1 times the first, but the exactly summed
+    # normal equations still have a Cholesky factor: without the SVD,
+    # profile_estimates would return an arbitrary beta.
+    data = collinear_dataset(lambda t: np.full(t.size, 0.1), 50, 5)
+    estimation._normal_factor(estimation._exact_gram(data.X.T), "factors")
+    with pytest.raises(lc.RankDeficient, match=RANK_OF_THE_DESIGN):
+        lc.profile_estimates(data, (0.5, 4.0))
+    with pytest.raises(lc.RankDeficient, match=RANK_OF_THE_DESIGN):
+        lc.fit(data)
+
+
+def test_the_cholesky_refuses_a_nearly_collinear_design_the_svd_passes():
+    data = collinear_dataset(lambda t: 1.0 + 1e-10 * t, 5, 6)
+    assert np.linalg.matrix_rank(data.X) == 2
+    with pytest.raises(lc.RankDeficient, match=SINGULAR_NORMAL_EQUATIONS):
+        lc.profile_estimates(data, (0.5, 1.0))
+    with pytest.raises(lc.RankDeficient, match=SINGULAR_NORMAL_EQUATIONS):
+        lc.fit(data)
 
 
 def test_dataset_grid_pools_across_subjects():
@@ -273,24 +312,6 @@ def test_pattern_statistics_match_the_whitened_formula(
         assert got.sigma2_hat == pytest.approx(sigma2, rel=1e-12, abs=0)
 
 
-def without_rank_check(subjects):
-    """Dataset that skips the constructor's rank check, to reach the one of
-    the likelihood's identity-weight fit (``_Prepared``). The rank check on
-    the GLS normal equations after it can only fail by rounding, since
-    G^-1 is positive definite."""
-    subjects = tuple(subjects)
-    data = object.__new__(lc.RepeatedMeasuresData)
-    columns = {
-        "times": np.concatenate([s.times for s in subjects]),
-        "y": np.concatenate([s.y for s in subjects]),
-        "X": np.vstack([s.X for s in subjects]),
-        "offsets": np.cumsum([0, *(s.p for s in subjects)]),
-    }
-    for name, column in columns.items():
-        object.__setattr__(data, name, column)
-    return data
-
-
 def failure_cases():
     unit = pattern_dataset(((tuple(range(1, 9)), 6), ((1, 2, 3), 3)), 1)
     r = unit.grid.d_max - unit.grid.d_min
@@ -303,7 +324,7 @@ def failure_cases():
         tuple(subject(s.times, np.zeros(s.p), s.X) for s in zeros.subjects)
     )
     yield pytest.param(zeros, (0.5, 1.0), "lear", lc.SingularFit, id="zero-residuals")
-    zero_column = without_rank_check(
+    zero_column = lc.RepeatedMeasuresData(
         subject(s.times, s.y, np.column_stack([s.X, np.zeros(s.p)]))
         for s in pattern_dataset(UNIT_PATTERNS, 1).subjects
     )
@@ -348,15 +369,15 @@ def test_overflowing_cross_products_are_refused(scale):
 
 def test_overflowing_cross_products_of_a_pattern_of_one_subject_are_refused():
     # Each subject has its own pattern, so each pattern's sums have a
-    # single term: they are summed directly, not by math.fsum, and the
-    # workspace refuses them before any evaluation meets them.
+    # single term: they are summed directly, not by math.fsum, and come out
+    # inf or NaN, which the first evaluation refuses.
     rng = np.random.default_rng(0)
     data = lc.RepeatedMeasuresData(
         subject([0.0, 1.0 + 0.1 * i, 2.5 + 0.2 * i], 1e160 * rng.standard_normal(3))
         for i in range(5)
     )
     with pytest.raises(lc.InvalidSize, match=OVERFLOW):
-        _Prepared(data)
+        lc.profile_estimates(data, (0.5, 1.0))
     with pytest.raises(lc.InvalidSize, match=OVERFLOW):
         lc.fit(data)
 
